@@ -7,8 +7,8 @@
 //! queued work (tracked in a duplicate-free dirty list — a fleet host
 //! holds tens of thousands of sessions and must never scan them all per
 //! flush) are sharded across the persistent [`memdos_runner::ShardPool`]
-//! workers, each drains its queue sequentially into a per-shard run, and
-//! the runs are merged into the log in `(seq, sub)` order.
+//! workers, each drains its queue sequentially, and the flush's events
+//! are sorted into the log in `(seq, sub)` order.
 //!
 //! ## Session storage at fleet scale
 //!
@@ -38,17 +38,17 @@
 //! to a husk (detectors and buffers dropped, identity and counters
 //! kept).
 //!
-//! ## Hierarchical merge
+//! ## One flush path
 //!
-//! Workers sort their own runs by `(seq, sub)` before handing them back
-//! (the pool's finish hook), so the engine performs a K-way heap merge
-//! over ~`workers + 1` sorted runs (session runs plus the ingest-event
-//! run, which is sorted by construction) and renders straight into the
-//! log. The old single `sort` over the concatenated events cost
-//! `O(E log E)` on one thread; the merge moves the `log`-factor work
-//! onto the workers and keeps the single-threaded part at
-//! `O(E log K)`, which is what lets verdict merging scale past a
-//! handful of shards.
+//! Every flush takes the same path at every worker count: the dirty
+//! sessions are lent out of the slab, [`ShardPool::run_sharded`] steps
+//! them (inline on the caller's thread at width 1 or for a single
+//! session, across the workers otherwise) into one event buffer, the
+//! ingest-side events are appended, one sort by `(seq, sub)` imposes
+//! the total order and the events are rendered into the log. Workers
+//! hand their events back in completion order; the sort makes that
+//! order unobservable, and it costs little next to stepping and
+//! rendering.
 //!
 //! ## Ingest fast path
 //!
@@ -74,8 +74,9 @@
 //!   what any session observes, only when it observes it);
 //! * backpressure drops, idle closes and evictions are decided at
 //!   ingest/flush boundaries, before any worker runs;
-//! * `(seq, sub)` keys are unique across all events, so the K-way merge
-//!   has exactly one order regardless of how sessions were sharded.
+//! * `(seq, sub)` keys are unique across all events, so the flush's
+//!   sort has exactly one result regardless of how sessions were
+//!   sharded or in which order the workers finished.
 //!
 //! The log is also identical across **batch sizes** as long as no
 //! session queue overflows (i.e. `batch <= queue_capacity`, or the input
@@ -168,12 +169,10 @@ struct StageProf {
     dispatch_ns: u64,
     /// Session queue draining (detector stepping) across the pool.
     step_ns: u64,
-    /// Imposing the `(seq, sub)` order on the flush's events: the sort
-    /// on the inline path, the fused K-way merge + render on the pooled
-    /// path.
+    /// Imposing the `(seq, sub)` order on the flush's events: the one
+    /// sort, at every worker count.
     merge_ns: u64,
-    /// Event rendering and log append (inline path; the pooled path
-    /// bills its fused merge+render loop to `merge_ns`).
+    /// Event rendering and log append, at every worker count.
     write_ns: u64,
 }
 
@@ -302,28 +301,20 @@ pub struct Engine {
     /// with session events at the next flush. Sorted by construction:
     /// `seq` increases monotonically at ingest and `sub` is constant.
     ingest_events: Vec<SessionEvent>,
-    /// Persistent dispatch pool, spawned lazily at the first flush that
-    /// can use more than one worker. Its finish hook sorts each shard's
-    /// run so [`Engine::merge_runs`] can K-way merge.
-    pool: Option<ShardPool<Session, SessionEvent>>,
-    /// `config.workers` clamped to the machine's available parallelism:
-    /// oversubscribing a CPU-bound pool adds channel latency without
-    /// adding concurrency (on a 1-core host a requested 4-worker pool
-    /// ran ~40 % *slower* than inline). The log is byte-identical at
-    /// any width, so the clamp is unobservable in output.
-    effective_workers: usize,
-    /// Recycled flush-event buffer for the inline path.
+    /// Persistent dispatch pool, `config.workers` wide clamped to the
+    /// machine's available parallelism: oversubscribing a CPU-bound
+    /// pool adds channel latency without adding concurrency (on a
+    /// 1-core host a requested 4-worker pool ran ~40 % *slower* than
+    /// inline). At width 1 it spawns no thread and steps inline. The
+    /// log is byte-identical at any width, so the clamp is unobservable
+    /// in output.
+    pool: ShardPool<Session, SessionEvent>,
+    /// Recycled flush-event buffer.
     events_buf: Vec<SessionEvent>,
     /// Recycled working set of sessions lent out of the slab for a
     /// flush, with their `(slab slot, owner)` keys alongside.
     scratch: Vec<Session>,
     scratch_meta: Vec<(u32, u32)>,
-    /// Recycled per-shard run buffers for the pooled path.
-    runs: Vec<Vec<SessionEvent>>,
-    /// Recycled K-way merge state: `(seq, sub, run)` min-heap and
-    /// per-run cursors.
-    merge_heap: BinaryHeap<Reverse<(u64, u32, usize)>>,
-    merge_pos: Vec<usize>,
     /// Recycled log-line writer.
     render: LineBuf,
     prof: StageProf,
@@ -382,14 +373,13 @@ impl Engine {
             open_count: 0,
             sessions_opened: 0,
             ingest_events: Vec::new(),
-            pool: None,
-            effective_workers: config.workers.min(memdos_runner::cores()),
+            pool: ShardPool::new(
+                config.workers.min(memdos_runner::cores()),
+                |s: &mut Session, out: &mut Vec<SessionEvent>| s.process_queued_into(out),
+            ),
             events_buf: Vec::new(),
             scratch: Vec::new(),
             scratch_meta: Vec::new(),
-            runs: Vec::new(),
-            merge_heap: BinaryHeap::new(),
-            merge_pos: Vec::new(),
             render: LineBuf::new(),
             prof: StageProf::new(config.prof),
             mitigation: Coordinator::new(config.mitigation),
@@ -1246,59 +1236,26 @@ impl Engine {
         self.dirty.clear();
         self.stats.peak_queued = self.stats.peak_queued.max(queued);
         let t0 = self.prof.start();
-        if self.effective_workers <= 1 || scratch.len() <= 1 {
-            // A single worker (or session) would serialise through the
-            // pool anyway; keep the channel machinery out of the path.
-            let mut events = std::mem::take(&mut self.events_buf);
-            for s in scratch.iter_mut() {
-                s.process_queued_into(&mut events);
-            }
-            let d = self.prof.lap(t0);
-            self.prof.step_ns += d;
-            events.append(&mut self.ingest_events);
-            // `(seq, sub)` keys are unique, so this imposes the one
-            // total order.
-            let t1 = self.prof.start();
-            events.sort_by_key(|e| (e.seq, e.sub));
-            let d = self.prof.lap(t1);
-            self.prof.merge_ns += d;
-            let t2 = self.prof.start();
-            for ev in &events {
-                let line = render_event(&mut self.render, ev);
-                self.log.push(line);
-            }
-            let d = self.prof.lap(t2);
-            self.prof.write_ns += d;
-            events.clear();
-            self.events_buf = events;
-        } else {
-            let workers = self.effective_workers;
-            let pool = self.pool.get_or_insert_with(|| {
-                ShardPool::with_finish(
-                    workers,
-                    |s: &mut Session, out: &mut Vec<SessionEvent>| s.process_queued_into(out),
-                    // Each worker sorts its own runs, so the engine only
-                    // merges (see the module docs on the hierarchical
-                    // merge).
-                    |run: &mut Vec<SessionEvent>| run.sort_by_key(|e| (e.seq, e.sub)),
-                )
-            });
-            let mut runs = std::mem::take(&mut self.runs);
-            pool.run_sharded_runs(&mut scratch, &mut runs);
-            let d = self.prof.lap(t0);
-            self.prof.step_ns += d;
-            let t1 = self.prof.start();
-            runs.push(std::mem::take(&mut self.ingest_events));
-            self.merge_runs(&mut runs);
-            // The ingest run went in last and `merge_runs` does not
-            // reorder the run list; reclaim its capacity.
-            if let Some(ingest) = runs.pop() {
-                self.ingest_events = ingest;
-            }
-            let d = self.prof.lap(t1);
-            self.prof.merge_ns += d;
-            self.runs = runs;
+        let mut events = std::mem::take(&mut self.events_buf);
+        self.pool.run_sharded(&mut scratch, &mut events);
+        let d = self.prof.lap(t0);
+        self.prof.step_ns += d;
+        events.append(&mut self.ingest_events);
+        // `(seq, sub)` keys are unique, so this imposes the one total
+        // order whatever order the workers handed their events back in.
+        let t1 = self.prof.start();
+        events.sort_by_key(|e| (e.seq, e.sub));
+        let d = self.prof.lap(t1);
+        self.prof.merge_ns += d;
+        let t2 = self.prof.start();
+        for ev in &events {
+            let line = render_event(&mut self.render, ev);
+            self.log.push(line);
         }
+        let d = self.prof.lap(t2);
+        self.prof.write_ns += d;
+        events.clear();
+        self.events_buf = events;
         // Return sessions to the slab; reclaim closed-at-ingest
         // incarnations (slot to the free list, final counters retained).
         for ((idx, owner), session) in meta.drain(..).zip(scratch.drain(..)) {
@@ -1308,44 +1265,6 @@ impl Engine {
         self.scratch_meta = meta;
         self.check_idle();
         self.step_mitigation();
-    }
-
-    /// K-way merges pre-sorted event runs into the log. Every run is
-    /// sorted by `(seq, sub)` (worker finish hooks sort shard runs; the
-    /// ingest run is sorted by construction) and the keys are globally
-    /// unique, so popping the smallest head across runs renders the one
-    /// total order without re-sorting. Heap and cursors are recycled.
-    /// Runs come back cleared.
-    fn merge_runs(&mut self, runs: &mut [Vec<SessionEvent>]) {
-        self.merge_heap.clear();
-        self.merge_pos.clear();
-        self.merge_pos.resize(runs.len(), 0);
-        for (rid, run) in runs.iter().enumerate() {
-            if let Some(e) = run.first() {
-                self.merge_heap.push(Reverse((e.seq, e.sub, rid)));
-            }
-        }
-        while let Some(Reverse((_, _, rid))) = self.merge_heap.pop() {
-            let Some(p) = self.merge_pos.get_mut(rid) else {
-                continue;
-            };
-            let at = *p;
-            *p = at + 1;
-            let Some(run) = runs.get(rid) else {
-                continue;
-            };
-            let Some(ev) = run.get(at) else {
-                continue;
-            };
-            let line = render_event(&mut self.render, ev);
-            self.log.push(line);
-            if let Some(next) = run.get(at + 1) {
-                self.merge_heap.push(Reverse((next.seq, next.sub, rid)));
-            }
-        }
-        for run in runs.iter_mut() {
-            run.clear();
-        }
     }
 
     /// Returns one lent session to the slab after a flush, or retires
@@ -2062,33 +1981,6 @@ mod tests {
         assert!(live.resident_bytes > 0);
         assert!(engine.resident_bytes() >= live.resident_bytes);
         assert!(engine.snapshot("vm-unknown").is_none());
-    }
-
-    #[test]
-    fn merge_runs_orders_presorted_runs() {
-        let mut engine = Engine::new(fast_config(1, 4)).unwrap();
-        let ev = |seq: u64, sub: u32| {
-            let mut o = JsonObject::new();
-            o.push_str("event", "probe");
-            SessionEvent { seq, sub, payload: o }
-        };
-        let mut runs = vec![
-            vec![ev(0, 1), ev(3, 0), ev(9, 0)],
-            vec![ev(0, 0), ev(4, 2), ev(4, 5)],
-            Vec::new(),
-            vec![ev(2, 0)],
-        ];
-        engine.merge_runs(&mut runs);
-        let keys: Vec<u64> = engine
-            .log_lines()
-            .iter()
-            .map(|l| {
-                let o = JsonObject::parse(l).expect("line parses");
-                o.get_f64("seq").expect("seq") as u64
-            })
-            .collect();
-        assert_eq!(keys, vec![0, 0, 2, 3, 4, 4, 9]);
-        assert!(runs.iter().all(Vec::is_empty), "runs come back cleared");
     }
 
     #[test]

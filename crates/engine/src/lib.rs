@@ -20,10 +20,10 @@
 //!   by the interned tenant id, an explicit `max_sessions` memory
 //!   ceiling with LRU-idle eviction), batched dispatch onto the
 //!   [`memdos_runner`] worker pool (sharded by tenant: per-tenant order
-//!   preserved, tenants parallel), and the deterministic `(seq, sub)`
-//!   hierarchically-merged event log. Replaying the same input yields a
-//!   byte-identical log at any worker count and batch size — including
-//!   across evictions.
+//!   preserved, tenants parallel), and the deterministic event log,
+//!   sorted by `(seq, sub)` at every flush. Replaying the same input
+//!   yields a byte-identical log at any worker count and batch size —
+//!   including across evictions.
 //! * [`demo`] — the four-tenant demo stream (two periodic victims, two
 //!   non-periodic, bus-locking and LLC-cleansing attack windows), which
 //!   doubles as the fixture for the replay-determinism tier-1 test.

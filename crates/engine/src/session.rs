@@ -392,7 +392,7 @@ impl Session {
             profiler: Some(profiler),
             detectors: Vec::new(),
             last_verdicts: Vec::new(),
-            queue: VecDeque::with_capacity(config.queue_capacity),
+            queue: VecDeque::new(),
             monitor_ticks: 0,
             ingested: 0,
             dropped: 0,
@@ -586,17 +586,6 @@ impl Session {
     // hot-path
     pub(crate) fn process_queued_into(&mut self, events: &mut Vec<SessionEvent>) {
         while let Some(item) = self.queue.pop_front() {
-            // Steady-state fast path: a monitoring session consuming a
-            // sample takes the columnar batch route, which also swallows
-            // the run of consecutive samples queued behind it. Control
-            // items, state transitions and the once-per-incarnation
-            // `opened` event stay on the scalar path below.
-            if self.opened_logged && self.state == SessionState::Monitoring {
-                if let Item::Obs(seq, obs) = item {
-                    self.step_monitoring_run(seq, obs, events);
-                    continue;
-                }
-            }
             let seq = item.seq();
             let mut sub = 0u32;
             let mut emit = |payload: JsonObject| {
@@ -630,12 +619,13 @@ impl Session {
                 }
                 Item::Obs(_, obs) => match self.state {
                     SessionState::Profiling => self.step_profiling(obs, &mut emit),
-                    SessionState::Monitoring => {
-                        self.step_monitoring(obs, &mut emit);
-                        if self.state == SessionState::Quarantined {
-                            self.quarantine_notice = Some(seq);
-                        }
-                    }
+                    // The steady state: the columnar batch route, which
+                    // also swallows the run of consecutive samples queued
+                    // behind this one. A session only reaches
+                    // `Monitoring` through its profile, after the
+                    // `opened` event, so `emit` is unused here and the
+                    // run's events start at `sub` 0.
+                    SessionState::Monitoring => self.step_monitoring_run(seq, obs, events),
                     SessionState::Quarantined | SessionState::Closed => {
                         // Items queued before the state flipped; counted
                         // when offered, nothing to process.
@@ -693,50 +683,10 @@ impl Session {
         }
     }
 
-    fn step_monitoring(&mut self, obs: Observation, emit: &mut impl FnMut(JsonObject)) {
-        self.monitor_ticks += 1;
-        self.ewma_access += RECOVERY_ALPHA * (obs.access_num - self.ewma_access);
-        let mut primary_became_active = false;
-        for (i, det) in self.detectors.iter_mut().enumerate() {
-            // Throttle requests (KStest) are ignored: passive streaming.
-            let step = det.on_observation(obs);
-            if i == 0 && step.became_active {
-                primary_became_active = true;
-            }
-            let Some(last) = self.last_verdicts.get_mut(i) else {
-                continue;
-            };
-            if !step.verdict.same_class(last) {
-                let mut o = JsonObject::new();
-                o.push_str("event", "verdict")
-                    .push_str("tenant", &self.tenant)
-                    .push_str("detector", det.name())
-                    .push_str("from", last.label())
-                    .push_str("to", step.verdict.label())
-                    .push_num("tick", self.monitor_ticks as f64);
-                emit(o);
-                *last = step.verdict;
-            }
-        }
-        if primary_became_active {
-            self.alarms += 1;
-            if self.config.quarantine_after > 0 && self.alarms >= self.config.quarantine_after
-            {
-                self.state = SessionState::Quarantined;
-                let mut o = JsonObject::new();
-                o.push_str("event", "quarantined")
-                    .push_str("tenant", &self.tenant)
-                    .push_num("alarms", self.alarms as f64);
-                emit(o);
-            }
-        }
-    }
-
     /// Gathers the run of consecutive queued samples starting at
     /// `(seq0, obs0)` into the worker's columnar scratch and batch-steps
-    /// it. Only called with `state == Monitoring` and the `opened` event
-    /// already emitted, so every event the run produces follows the
-    /// scalar per-item emission rules exactly.
+    /// it. Only called with `state == Monitoring`, so the `opened` event
+    /// is already out and the run's events start at `sub` 0.
     // hot-path
     fn step_monitoring_run(
         &mut self,
@@ -764,12 +714,16 @@ impl Session {
     }
 
     /// Steps every armed detector over one columnar run and replays the
-    /// per-tick emission in scalar order. Bit-identical to calling
-    /// [`Session::step_monitoring`] once per sample: the primary steps
-    /// the whole run first so a mid-run quarantine can cut the batch at
-    /// the exact sample the scalar loop would have stopped processing
-    /// at; secondaries then step the surviving prefix and the trailing
-    /// samples are dropped, matching the scalar terminal-state arm.
+    /// per-tick emission in sample order: per sample, one `verdict`
+    /// event per detector whose verdict class changed, then a
+    /// `quarantined` event if the primary's alarm exhausted the budget.
+    /// Bit-identical to stepping each sample through
+    /// [`Detector::on_observation`] (the core conformance suite pins
+    /// `step_batch` to it): the primary steps the whole run first so a
+    /// mid-run quarantine can cut the batch at the exact sample it
+    /// lands on; secondaries then step the surviving prefix and the
+    /// trailing samples count as dropped, as any sample reaching a
+    /// quarantined session does.
     // hot-path
     fn step_monitoring_batch(
         &mut self,

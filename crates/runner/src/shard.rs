@@ -22,27 +22,13 @@
 //! impose their own total order (the engine sorts events by a unique
 //! `(seq, sub)` key, which makes the completion order unobservable).
 //!
-//! # Per-shard finish hook and sorted runs
-//!
-//! A pool built with [`ShardPool::with_finish`] runs a caller-supplied
-//! closure over each shard's result buffer *on the worker that filled
-//! it*, before the shard travels back. The intended use is a per-shard
-//! sort: with a comparison key that is globally unique, K pre-sorted
-//! runs can be combined by a K-way merge instead of a monolithic
-//! `sort` over the concatenation, moving `O(n log n)` work off the
-//! single-threaded merge step and onto the workers. The runs
-//! themselves are handed back by [`ShardPool::run_sharded_runs`],
-//! which recycles the caller's run buffers round over round.
+//! A pool of width 1 spawns no thread at all: every round steps inline
+//! on the caller's thread, as any round with a single item does, so a
+//! caller can hold one pool at every width and keep one code path.
 
 use std::sync::mpsc;
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Per-shard post-processing hook, applied by the worker that produced
-/// the shard's results (and by the inline fallbacks, so behaviour is
-/// identical whether or not a thread was involved).
-type FinishFn<R> = Arc<dyn Fn(&mut Vec<R>) + Send + Sync>;
 
 /// One round-trip unit: a slice of the caller's items (tagged with
 /// their input indices) and the results produced from them.
@@ -60,20 +46,17 @@ impl<T, R> Shard<T, R> {
 /// A persistent pool of workers that repeatedly runs a fixed `step`
 /// function over the caller's owned items — see the module docs.
 pub struct ShardPool<T, R> {
+    /// One job channel per worker thread; empty at width 1.
     txs: Vec<mpsc::Sender<Shard<T, R>>>,
     res_rx: mpsc::Receiver<Shard<T, R>>,
     handles: Vec<JoinHandle<()>>,
     /// Recycled shard buffers (both `Vec`s retain their capacity).
     spare: Vec<Shard<T, R>>,
-    /// Recycled run buffers for [`run_sharded_runs`](Self::run_sharded_runs).
-    spare_outs: Vec<Vec<R>>,
     /// Recycled order-restoration scratch.
     restore: Vec<Option<T>>,
-    /// The caller's step function, kept for the inline fallback when a
-    /// worker cannot accept a shard.
+    /// The caller's step function, kept for inline rounds and for the
+    /// fallback when a worker cannot accept a shard.
     step: Box<dyn Fn(&mut T, &mut Vec<R>) + Send + Sync>,
-    /// Optional per-shard finish hook (see module docs).
-    finish: Option<FinishFn<R>>,
 }
 
 impl<T, R> ShardPool<T, R>
@@ -81,48 +64,26 @@ where
     T: Send + 'static,
     R: Send + 'static,
 {
-    /// Spawns `workers` (floored at 1) persistent worker threads, each
-    /// running `step` over every item of every shard it receives.
+    /// A pool `workers` wide (floored at 1). Above width 1 it spawns
+    /// that many persistent worker threads, each running `step` over
+    /// every item of every shard it receives; at width 1 it spawns none.
     pub fn new<F>(workers: usize, step: F) -> Self
     where
         F: Fn(&mut T, &mut Vec<R>) + Send + Sync + Clone + 'static,
     {
-        Self::build(workers, step, None)
-    }
-
-    /// Like [`new`](Self::new), but additionally runs `finish` over
-    /// each shard's result buffer on the worker that filled it. Pair
-    /// with [`run_sharded_runs`](Self::run_sharded_runs) and a sorting
-    /// `finish` to get pre-sorted runs for a downstream K-way merge.
-    pub fn with_finish<F, G>(workers: usize, step: F, finish: G) -> Self
-    where
-        F: Fn(&mut T, &mut Vec<R>) + Send + Sync + Clone + 'static,
-        G: Fn(&mut Vec<R>) + Send + Sync + 'static,
-    {
-        Self::build(workers, step, Some(Arc::new(finish)))
-    }
-
-    fn build<F>(workers: usize, step: F, finish: Option<FinishFn<R>>) -> Self
-    where
-        F: Fn(&mut T, &mut Vec<R>) + Send + Sync + Clone + 'static,
-    {
-        let workers = workers.max(1);
+        let threads = if workers > 1 { workers } else { 0 };
         let (res_tx, res_rx) = mpsc::channel::<Shard<T, R>>();
-        let mut txs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
+        let mut txs = Vec::with_capacity(threads);
+        let mut handles = Vec::with_capacity(threads);
+        for _ in 0..threads {
             let (tx, rx) = mpsc::channel::<Shard<T, R>>();
             txs.push(tx);
             let res = res_tx.clone();
             let step = step.clone();
-            let finish = finish.clone();
             handles.push(std::thread::spawn(move || {
                 for mut shard in rx {
                     for (_, item) in shard.items.iter_mut() {
                         step(item, &mut shard.out);
-                    }
-                    if let Some(f) = finish.as_ref() {
-                        f(&mut shard.out);
                     }
                     // The pool dropping its receiver mid-round means the
                     // round's results are unwanted; exit quietly.
@@ -140,16 +101,14 @@ where
             res_rx,
             handles,
             spare: Vec::new(),
-            spare_outs: Vec::new(),
             restore: Vec::new(),
             step: Box::new(step),
-            finish,
         }
     }
 
-    /// Number of worker threads.
+    /// The pool's width: how many shards a round splits into at most.
     pub fn workers(&self) -> usize {
-        self.txs.len()
+        self.txs.len().max(1)
     }
 
     /// Runs one round: every item of `items` is stepped exactly once
@@ -160,69 +119,19 @@ where
     /// downstream if the output must be deterministic.
     pub fn run_sharded(&mut self, items: &mut Vec<T>, out: &mut Vec<R>) {
         let n = items.len();
-        if n == 0 {
-            return;
-        }
         let workers = self.txs.len().min(n);
         if workers <= 1 {
-            // One shard would serialise through a worker anyway; step
-            // inline and skip the channel round-trip. Route through a
-            // recycled buffer so a finish hook sees exactly this
-            // round's results, as a worker would have.
-            let mut run = self.spare_outs.pop().unwrap_or_default();
+            // One shard would serialise through a worker anyway (and a
+            // width-1 pool has none); step inline and skip the channel
+            // round-trip.
             for item in items.iter_mut() {
-                (self.step)(item, &mut run);
+                (self.step)(item, out);
             }
-            if let Some(f) = self.finish.as_ref() {
-                f(&mut run);
-            }
-            out.append(&mut run);
-            self.spare_outs.push(run);
             return;
         }
         let mut done = self.dispatch_round(items, workers);
         for shard in done.iter_mut() {
             out.append(&mut shard.out);
-        }
-        self.restore_items(n, &mut done, items);
-        self.spare.extend(done);
-    }
-
-    /// Runs one round like [`run_sharded`](Self::run_sharded), but
-    /// hands each shard's result buffer back whole, as one *run* in
-    /// `runs`, instead of concatenating them. With a pool built via
-    /// [`with_finish`](Self::with_finish) and a sorting hook, every
-    /// run arrives pre-sorted and the caller can K-way merge.
-    ///
-    /// Buffers already in `runs` are recycled as this round's shard
-    /// outputs (cleared first), so a caller that feeds its run vector
-    /// back in each round allocates nothing in the steady state. Runs
-    /// are pushed in shard-completion order and may be empty.
-    pub fn run_sharded_runs(&mut self, items: &mut Vec<T>, runs: &mut Vec<Vec<R>>) {
-        for mut run in runs.drain(..) {
-            run.clear();
-            self.spare_outs.push(run);
-        }
-        let n = items.len();
-        if n == 0 {
-            return;
-        }
-        let workers = self.txs.len().min(n);
-        if workers <= 1 {
-            let mut run = self.spare_outs.pop().unwrap_or_default();
-            for item in items.iter_mut() {
-                (self.step)(item, &mut run);
-            }
-            if let Some(f) = self.finish.as_ref() {
-                f(&mut run);
-            }
-            runs.push(run);
-            return;
-        }
-        let mut done = self.dispatch_round(items, workers);
-        for shard in done.iter_mut() {
-            let fresh = self.spare_outs.pop().unwrap_or_default();
-            runs.push(std::mem::replace(&mut shard.out, fresh));
         }
         self.restore_items(n, &mut done, items);
         self.spare.extend(done);
@@ -251,9 +160,6 @@ where
                     // keep the round lossless by stepping inline.
                     for (_, item) in shard.items.iter_mut() {
                         (self.step)(item, &mut shard.out);
-                    }
-                    if let Some(f) = self.finish.as_ref() {
-                        f(&mut shard.out);
                     }
                     done.push(shard);
                 }
@@ -315,7 +221,7 @@ impl<T, R> Drop for ShardPool<T, R> {
 impl<T, R> std::fmt::Debug for ShardPool<T, R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardPool")
-            .field("workers", &self.txs.len())
+            .field("workers", &self.txs.len().max(1))
             .field("spare", &self.spare.len())
             .finish()
     }
@@ -377,6 +283,7 @@ mod tests {
         let mut single: ShardPool<u64, u64> =
             ShardPool::new(0, |item: &mut u64, out: &mut Vec<u64>| out.push(*item));
         assert_eq!(single.workers(), 1);
+        assert!(single.handles.is_empty(), "a width-1 pool spawns no thread");
         let mut items = vec![1u64, 2, 3];
         let mut out = Vec::new();
         single.run_sharded(&mut items, &mut out);
@@ -407,63 +314,5 @@ mod tests {
             assert_eq!(c.ticks, 20, "every round stepped every item once");
         }
         assert_eq!(out.len(), 200);
-    }
-
-    #[test]
-    fn finish_hook_sorts_each_shard_run() {
-        // Each item emits a tagged result; the finish hook sorts the
-        // shard's buffer, so every returned run must be sorted even
-        // though items hit the shard in round-robin order.
-        let mut pool: ShardPool<u64, u64> = ShardPool::with_finish(
-            4,
-            |item: &mut u64, out: &mut Vec<u64>| out.push(1000 - *item),
-            |run: &mut Vec<u64>| run.sort_unstable(),
-        );
-        let mut items: Vec<u64> = (0..97).collect();
-        let mut runs: Vec<Vec<u64>> = Vec::new();
-        pool.run_sharded_runs(&mut items, &mut runs);
-        assert_eq!(items, (0..97).collect::<Vec<u64>>(), "input order preserved");
-        assert!(!runs.is_empty() && runs.len() <= 4);
-        let mut all = Vec::new();
-        for run in &runs {
-            assert!(run.windows(2).all(|w| w[0] <= w[1]), "each run pre-sorted");
-            all.extend_from_slice(run);
-        }
-        all.sort_unstable();
-        let want: Vec<u64> = (0..97).map(|i| 1000 - i).rev().collect();
-        assert_eq!(all, want, "no result lost or duplicated across runs");
-    }
-
-    #[test]
-    fn run_buffers_recycle_across_rounds() {
-        let mut pool: ShardPool<u64, u64> = ShardPool::with_finish(
-            3,
-            |item: &mut u64, out: &mut Vec<u64>| out.push(*item),
-            |run: &mut Vec<u64>| run.sort_unstable(),
-        );
-        let mut items: Vec<u64> = (0..24).collect();
-        let mut runs: Vec<Vec<u64>> = Vec::new();
-        for round in 0..40u64 {
-            pool.run_sharded_runs(&mut items, &mut runs);
-            let total: usize = runs.iter().map(Vec::len).sum();
-            assert_eq!(total, 24, "round {round}");
-        }
-        // Feeding `runs` back each round caps the parked buffers.
-        assert!(pool.spare_outs.len() <= 4);
-    }
-
-    #[test]
-    fn single_worker_runs_path_matches_inline() {
-        let mut pool: ShardPool<u64, u64> = ShardPool::with_finish(
-            1,
-            |item: &mut u64, out: &mut Vec<u64>| out.push(100 - *item),
-            |run: &mut Vec<u64>| run.sort_unstable(),
-        );
-        let mut items: Vec<u64> = (0..9).collect();
-        let mut runs: Vec<Vec<u64>> = Vec::new();
-        pool.run_sharded_runs(&mut items, &mut runs);
-        assert_eq!(runs.len(), 1, "one worker produces one run");
-        let run = runs.first().cloned().unwrap_or_default();
-        assert_eq!(run, (92..=100).collect::<Vec<u64>>(), "finish applied inline");
     }
 }

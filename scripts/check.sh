@@ -49,8 +49,8 @@ fi
 echo "==> cargo build --release"
 cargo build --workspace --release
 
-echo "==> cargo test"
-cargo test -q
+echo "==> cargo test --workspace"
+cargo test -q --workspace
 
 # The property-based suite is feature-gated because the offline build
 # environment cannot fetch the external proptest crate. Run it whenever
