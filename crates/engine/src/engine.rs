@@ -52,16 +52,18 @@
 //!
 //! ## Ingest fast path
 //!
-//! Clean lines decode through the borrowed
-//! [`parse_record_borrowed`](jsonl::parse_record_borrowed) parser —
-//! tenant names stay `&str` slices of the input line and route through
-//! the intern table ([`TenantId`]) without touching the heap. Lines the
-//! fast path cannot represent (escape sequences in protocol strings)
-//! fall back to the allocating [`JsonObject`] parser; lines it rejects
-//! go through [`jsonl::resync_line`] recovery, exactly as the slow path
-//! always did. `Config::fast_parse` turns the fast path off so
-//! equivalence tests can pin that both routes produce byte-identical
-//! logs.
+//! Every JSONL line decodes through [`protocol::decode_line`]: clean
+//! lines take the borrowed
+//! [`parse_record_borrowed`](memdos_metrics::jsonl::parse_record_borrowed)
+//! parser — tenant names stay `&str` slices of the input line and route
+//! through the intern table ([`TenantId`]) without touching the heap.
+//! Lines the fast path cannot represent (escape sequences in protocol
+//! strings) fall back to the allocating [`JsonObject`] parser; lines it
+//! rejects go through
+//! [`resync_line`](memdos_metrics::jsonl::resync_line) recovery.
+//! [`Engine::ingest_reader`] splits a byte stream into lines with the
+//! shared [`LineFramer`], which hands each line out borrowed from the
+//! read buffer and copies only a line that spans two reads.
 //!
 //! ## Determinism guarantee
 //!
@@ -90,7 +92,7 @@
 
 pub use crate::config::Config;
 use crate::mitigation::{CaseStep, Coordinator, MitigationAction};
-use crate::protocol::Record;
+use crate::protocol::{self, LineItem};
 use crate::session::{
     CloseReason, Offered, Session, SessionEvent, SessionSnapshot, SessionState,
 };
@@ -98,7 +100,7 @@ use crate::slab::Slab;
 use memdos_core::detector::Observation;
 use memdos_core::CoreError;
 use memdos_metrics::binary::{self, BinDecoder, BinFrame};
-use memdos_metrics::jsonl::{self, JsonObject, LineBuf, RawKind, RawParse, Segment};
+use memdos_metrics::jsonl::{JsonObject, LineBuf, LineFramer, RawKind, RawRecord, Span};
 use memdos_runner::ShardPool;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -228,16 +230,6 @@ struct WireTable {
 struct WireEntry {
     name: String,
     cached: Option<TenantId>,
-}
-
-/// Carry state for the chunked JSONL line splitter: the partial line
-/// spanning reads, discard mode for an oversized line, and the
-/// physical-line count [`Engine::ingest_reader`] reports.
-#[derive(Debug, Default)]
-struct LineCarry {
-    buf: Vec<u8>,
-    discarding: Option<u64>,
-    lines: u64,
 }
 
 /// Final accounting of a reclaimed incarnation, retained per tenant so
@@ -518,82 +510,32 @@ impl Engine {
 
     /// Ingests one input line, flushing when the batch fills.
     ///
-    /// Clean lines take the borrowed zero-allocation parse; lines it
-    /// cannot represent (escapes in protocol strings) fall back to the
-    /// [`JsonObject`] parser. A line neither accepts is resynchronised:
-    /// every embedded valid record is recovered (each under its own
-    /// arrival index, in line order) and the corrupted spans are logged
-    /// as `malformed` events — one bad byte never costs more than its
-    /// own span.
+    /// The line decodes through [`protocol::decode_line`]: each record
+    /// it yields (one for a clean line, every embedded valid record for
+    /// a dirty one) is routed under its own arrival index, and each
+    /// corrupted span is logged as a `malformed` event.
     // hot-path
     pub fn ingest_line(&mut self, line: &str) {
-        if self.config.fast_parse {
-            let t0 = self.prof.start();
-            let parsed = jsonl::parse_record_borrowed(line);
-            let d = self.prof.lap(t0);
-            self.prof.decode_ns += d;
-            match parsed {
-                RawParse::Record(raw) => {
-                    let seq = self.alloc_seq();
+        let t0 = self.prof.start();
+        let mut routed = 0;
+        // lint:allow(hot-propagate) -- decode_line is a hot-path function itself, checked on its own; only its fallback and resync arms allocate, and they are justified there
+        protocol::decode_line(line, |item| {
+            let seq = self.alloc_seq();
+            match item {
+                LineItem::Record { record, resynced } => {
                     let t1 = self.prof.start();
-                    match raw.kind {
-                        RawKind::Sample { access, miss } => self.route_sample(
-                            seq,
-                            raw.tenant,
-                            Observation { access_num: access, miss_num: miss },
-                        ),
-                        RawKind::Close => self.route_close(seq, raw.tenant),
-                    }
-                    let d = self.prof.lap(t1);
-                    self.prof.dispatch_ns += d;
+                    self.stats.resynced += u64::from(resynced);
+                    self.route_record(seq, record);
+                    routed += self.prof.lap(t1);
                 }
-                // The fast path only rejects what the slow path rejects
-                // for the same reason (pinned by the equivalence suite),
-                // so resync directly — re-parsing would fail again.
-                // lint:allow(hot-propagate) -- resync recovers from corrupt input; the fault path may allocate
-                RawParse::Reject(_) => self.ingest_resync(line),
-                // lint:allow(hot-propagate) -- the slow parse is the announced fallback; its diagnostics may allocate
-                RawParse::Fallback => match Record::parse_slow(line) {
-                    Ok(record) => {
-                        let seq = self.alloc_seq();
-                        self.ingest_record(seq, record);
-                    }
-                    Err(_) => self.ingest_resync(line),
-                },
+                LineItem::Malformed { reason, bytes } => self.push_malformed(seq, reason, bytes),
             }
-        } else {
-            match Record::parse(line) {
-                Ok(record) => {
-                    let seq = self.alloc_seq();
-                    self.ingest_record(seq, record);
-                }
-                Err(_) => self.ingest_resync(line),
-            }
-        }
+        });
+        let d = self.prof.lap(t0);
+        self.prof.decode_ns += d.saturating_sub(routed);
+        self.prof.dispatch_ns += routed;
         if self.pending >= self.config.batch {
             self.flush();
-        }
-    }
-
-    /// Recovers what it can from a line no parser accepted whole: each
-    /// embedded valid record re-enters the normal path under its own
-    /// arrival index and each corrupted span becomes a `malformed`
-    /// event.
-    fn ingest_resync(&mut self, line: &str) {
-        for segment in jsonl::resync_line(line) {
-            let seq = self.alloc_seq();
-            match segment {
-                Segment::Object(obj) => match Record::from_object(&obj) {
-                    Ok(record) => {
-                        self.stats.resynced += 1;
-                        self.ingest_record(seq, record);
-                    }
-                    Err(e) => self.push_malformed(seq, e.reason(), None),
-                },
-                Segment::Skipped { bytes, reason } => {
-                    self.push_malformed(seq, &reason, Some(bytes));
-                }
-            }
         }
     }
 
@@ -641,130 +583,44 @@ impl Engine {
     }
 
     /// The JSONL arm of [`Engine::ingest_reader`]; `prefix` holds bytes
-    /// the format sniff already consumed from the reader.
-    ///
-    /// Framing (line split, 64 KiB line cap, UTF-8 splitting, the
-    /// physical-line count) mirrors [`jsonl::Decoder`]; each complete line then
-    /// takes [`Engine::ingest_line`]'s borrowed zero-allocation parse
-    /// instead of the decoder's owned [`JsonObject`] path — same events,
-    /// a fraction of the per-line cost.
+    /// the format sniff already consumed from the reader. The
+    /// [`LineFramer`] splits the stream into lines, which take
+    /// [`Engine::ingest_line`]; each span it skips is one `malformed`
+    /// event.
     fn ingest_reader_jsonl<R: BufRead>(
         &mut self,
         prefix: &[u8],
         mut reader: R,
     ) -> std::io::Result<u64> {
-        let mut carry = LineCarry::default();
-        self.ingest_jsonl_chunk(&mut carry, prefix);
+        let mut framer = LineFramer::new();
+        framer.push(prefix, |span| self.ingest_span(span));
         loop {
             let len = {
                 let chunk = reader.fill_buf()?;
                 if chunk.is_empty() {
                     break;
                 }
-                self.ingest_jsonl_chunk(&mut carry, chunk);
+                framer.push(chunk, |span| self.ingest_span(span));
                 chunk.len()
             };
             reader.consume(len);
         }
-        // Trailing unterminated line at end of stream.
-        if let Some(dropped) = carry.discarding.take() {
-            carry.lines += 1;
-            self.push_oversized_line(dropped);
-        } else if !carry.buf.is_empty() {
-            carry.lines += 1;
-            let line = std::mem::take(&mut carry.buf);
-            self.ingest_jsonl_line(&line);
-        }
+        framer.finish(|span| self.ingest_span(span));
         self.flush();
-        Ok(carry.lines)
+        Ok(framer.lines())
     }
 
-    /// Splits one chunk of a JSONL byte stream into physical lines,
-    /// feeding each complete line through the fast line path. Lines
-    /// longer than [`jsonl::DEFAULT_MAX_LINE`] are discarded wholesale
-    /// (one `malformed` event), so a stream that stops sending newlines
-    /// cannot grow the carry buffer without bound. Not `// hot-path`
-    /// itself: the per-sample contract is enforced on
-    /// [`Engine::ingest_line`], which every complete line goes through;
-    /// this wrapper only manages the carry buffer (reused, not grown
-    /// per line) and the fault paths.
-    fn ingest_jsonl_chunk(&mut self, carry: &mut LineCarry, chunk: &[u8]) {
-        let mut rest = chunk;
-        while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
-            let head = rest.get(..nl).unwrap_or(rest);
-            rest = rest.get(nl + 1..).unwrap_or(&[]);
-            carry.lines += 1;
-            if let Some(dropped) = carry.discarding.take() {
-                self.push_oversized_line(dropped + head.len() as u64);
-            } else if carry.buf.is_empty() {
-                self.ingest_jsonl_line(head);
-            } else {
-                carry.buf.extend_from_slice(head);
-                let line = std::mem::take(&mut carry.buf);
-                self.ingest_jsonl_line(&line);
-                // Reuse the carry allocation for the next split line.
-                carry.buf = line;
-                carry.buf.clear();
-            }
-        }
-        match carry.discarding.as_mut() {
-            Some(dropped) => *dropped += rest.len() as u64,
-            None => {
-                carry.buf.extend_from_slice(rest);
-                if carry.buf.len() > jsonl::DEFAULT_MAX_LINE {
-                    carry.discarding = Some(carry.buf.len() as u64);
-                    carry.buf.clear();
+    /// Ingests one framed span of a JSONL stream.
+    fn ingest_span(&mut self, span: Span<'_>) {
+        match span {
+            Span::Line(line) => self.ingest_line(line),
+            Span::Skipped { bytes, reason } => {
+                let seq = self.alloc_seq();
+                self.push_malformed(seq, reason, Some(bytes));
+                if self.pending >= self.config.batch {
+                    self.flush();
                 }
             }
-        }
-    }
-
-    /// Ingests one complete physical line (no trailing newline),
-    /// splitting around invalid UTF-8 exactly as [`jsonl::Decoder`] does: each
-    /// valid fragment takes the normal line path, each offending span
-    /// becomes a `malformed` event, and scanning resumes after it.
-    fn ingest_jsonl_line(&mut self, line: &[u8]) {
-        let mut rest = line;
-        loop {
-            match std::str::from_utf8(rest) {
-                Ok(text) => {
-                    if !text.trim().is_empty() {
-                        self.ingest_line(text);
-                    }
-                    return;
-                }
-                Err(e) => {
-                    let valid = e.valid_up_to();
-                    if let Some(prefix) =
-                        rest.get(..valid).and_then(|p| std::str::from_utf8(p).ok())
-                    {
-                        if !prefix.trim().is_empty() {
-                            self.ingest_line(prefix);
-                        }
-                    }
-                    let bad = e.error_len().unwrap_or(rest.len() - valid).max(1);
-                    let seq = self.alloc_seq();
-                    self.push_malformed(seq, "invalid UTF-8", Some(bad));
-                    if self.pending >= self.config.batch {
-                        self.flush();
-                    }
-                    let next = (valid + bad).min(rest.len());
-                    rest = rest.get(next..).unwrap_or(&[]);
-                    if rest.is_empty() {
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Logs one oversized-line rejection (`dropped` bytes discarded).
-    fn push_oversized_line(&mut self, dropped: u64) {
-        let seq = self.alloc_seq();
-        let reason = format!("line exceeds the {}-byte cap", jsonl::DEFAULT_MAX_LINE);
-        self.push_malformed(seq, &reason, Some(dropped as usize));
-        if self.pending >= self.config.batch {
-            self.flush();
         }
     }
 
@@ -865,14 +721,16 @@ impl Engine {
         }
     }
 
-    /// Routes one decoded (owned) record — the slow/resync path. The
-    /// fast path routes its borrowed fields through the same
-    /// [`Engine::route_sample`]/[`Engine::route_close`], so both paths
-    /// share one behaviour.
-    fn ingest_record(&mut self, seq: u64, record: Record) {
-        match record {
-            Record::Sample { tenant, obs } => self.route_sample(seq, &tenant, obs),
-            Record::Close { tenant } => self.route_close(seq, &tenant),
+    /// Routes one decoded record.
+    // hot-path
+    fn route_record(&mut self, seq: u64, record: RawRecord<'_>) {
+        match record.kind {
+            RawKind::Sample { access, miss } => self.route_sample(
+                seq,
+                record.tenant,
+                Observation { access_num: access, miss_num: miss },
+            ),
+            RawKind::Close => self.route_close(seq, record.tenant),
         }
     }
 
@@ -2045,28 +1903,6 @@ mod tests {
                 assert!(seq >= prev, "log sorted by seq");
             }
             last = Some(seq);
-        }
-    }
-
-    #[test]
-    fn fast_parse_off_produces_identical_log() {
-        // The zero-allocation path must be unobservable in the output:
-        // clean lines, dirty lines, fused records, closes and reopens.
-        let mut lines = synthetic_lines();
-        lines.insert(100, "not json at all".to_string());
-        lines.insert(
-            200,
-            "{\"tenant\":\"vm-a\",\"acc{\"tenant\":\"vm-a\",\"access\":1,\"miss\":2}".to_string(),
-        );
-        lines.insert(300, "{\"tenant\":\"vm\\u002da\",\"access\":7,\"miss\":3}".to_string());
-        lines.insert(400, r#"{"tenant":"vm-c","ctl":"close"}"#.to_string());
-        for workers in [1usize, 4] {
-            let fast = run(fast_config(workers, 256), &lines);
-            let slow = run(
-                Config { fast_parse: false, ..fast_config(workers, 256) },
-                &lines,
-            );
-            assert_eq!(fast, slow, "workers={workers}");
         }
     }
 

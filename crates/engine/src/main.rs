@@ -404,44 +404,43 @@ fn cmd_convert(args: &[String]) -> i32 {
     }
 }
 
-/// The `jsonl2bin` arm: decode lines, re-encode frames. The encoder
-/// interns tenant names to dense wire ids and emits each tenant's
-/// define frame before its first record.
+/// The `jsonl2bin` arm: frame and decode lines exactly as the engine's
+/// reader does, re-encode records as frames. The encoder interns tenant
+/// names to dense wire ids and emits each tenant's define frame before
+/// its first record. Every span the engine would log as `malformed` is
+/// counted as skipped.
 fn convert_jsonl2bin(
     mut reader: Box<dyn std::io::BufRead>,
     mut writer: Box<dyn Write>,
 ) -> Result<(u64, u64), String> {
-    use memdos_engine::protocol::Record;
+    use memdos_engine::protocol::{decode_line, LineItem};
     use memdos_metrics::binary::Encoder;
-    use memdos_metrics::jsonl::{Decoder, Frame};
-    let mut dec = Decoder::new();
+    use memdos_metrics::jsonl::{LineFramer, RawKind, Span};
+    let mut framer = LineFramer::new();
     let mut enc = Encoder::new();
     let mut out: Vec<u8> = Vec::new();
     let mut records = 0u64;
     let mut skipped = 0u64;
-    let mut encode = |frame: Frame, out: &mut Vec<u8>| -> Result<(), String> {
-        let obj = match frame {
-            Frame::Object(obj) => obj,
-            Frame::Skipped { .. } => {
-                skipped += 1;
-                return Ok(());
+    let mut failed: Option<String> = None;
+    let mut encode = |span: Span<'_>, out: &mut Vec<u8>, failed: &mut Option<String>| match span {
+        Span::Line(line) => decode_line(line, |item| match item {
+            LineItem::Record { record, .. } => {
+                let encoded = match record.kind {
+                    RawKind::Sample { access, miss } => {
+                        enc.sample(record.tenant, access, miss, out)
+                    }
+                    RawKind::Close => enc.close(record.tenant, out),
+                };
+                match encoded {
+                    Ok(()) => records += 1,
+                    Err(e) => {
+                        failed.get_or_insert(e.to_string());
+                    }
+                }
             }
-        };
-        let record = match Record::from_object(&obj) {
-            Ok(r) => r,
-            Err(_) => {
-                skipped += 1;
-                return Ok(());
-            }
-        };
-        match record {
-            Record::Sample { tenant, obs } => enc
-                .sample(&tenant, obs.access_num, obs.miss_num, out)
-                .map_err(|e| e.to_string())?,
-            Record::Close { tenant } => enc.close(&tenant, out).map_err(|e| e.to_string())?,
-        }
-        records += 1;
-        Ok(())
+            LineItem::Malformed { .. } => skipped += 1,
+        }),
+        Span::Skipped { .. } => skipped += 1,
     };
     loop {
         let len = {
@@ -449,20 +448,21 @@ fn convert_jsonl2bin(
             if chunk.is_empty() {
                 break;
             }
-            dec.push_bytes(chunk);
+            framer.push(chunk, |span| encode(span, &mut out, &mut failed));
             chunk.len()
         };
         reader.consume(len);
-        for frame in dec.drain() {
-            encode(frame, &mut out)?;
+        if let Some(e) = failed.take() {
+            return Err(e);
         }
         if out.len() >= 64 * 1024 {
             writer.write_all(&out).map_err(|e| e.to_string())?;
             out.clear();
         }
     }
-    for frame in dec.finish() {
-        encode(frame, &mut out)?;
+    framer.finish(|span| encode(span, &mut out, &mut failed));
+    if let Some(e) = failed {
+        return Err(e);
     }
     writer.write_all(&out).map_err(|e| e.to_string())?;
     writer.flush().map_err(|e| e.to_string())?;

@@ -11,9 +11,16 @@
 //! Unknown extra fields are ignored (forward compatibility); missing or
 //! mis-typed required fields are an error carrying the reason, so the
 //! engine can log and count malformed input without dying.
+//!
+//! [`decode_line`] is the one line → records step: the engine's
+//! [`Engine::ingest_line`](crate::engine::Engine::ingest_line), its
+//! JSONL reader and `memdos-engine convert jsonl2bin` all decode
+//! through it, so they agree on every line, dirty ones included.
 
 use memdos_core::detector::Observation;
-use memdos_metrics::jsonl::{parse_record_borrowed, JsonObject, RawKind, RawParse, RawRecord};
+use memdos_metrics::jsonl::{
+    parse_record_borrowed, resync_line, JsonObject, RawKind, RawParse, RawRecord, Segment,
+};
 
 pub use memdos_metrics::jsonl::RecordError;
 
@@ -74,8 +81,18 @@ impl Record {
         Record::from_object(&obj)
     }
 
+    /// The record as borrowed fields.
+    pub fn as_raw(&self) -> RawRecord<'_> {
+        match self {
+            Record::Sample { tenant, obs } => RawRecord {
+                tenant,
+                kind: RawKind::Sample { access: obs.access_num, miss: obs.miss_num },
+            },
+            Record::Close { tenant } => RawRecord { tenant, kind: RawKind::Close },
+        }
+    }
+
     /// Takes ownership of a borrowed fast-path record.
-    // lint:allow(hot-propagate) -- owning the tenant key is the cost of leaving the borrowed fast path; the zero-alloc route stays on RawRecord
     fn from_raw(raw: RawRecord<'_>) -> Record {
         match raw.kind {
             RawKind::Sample { access, miss } => Record::Sample {
@@ -132,6 +149,68 @@ impl Record {
             }
         }
         obj.to_line()
+    }
+}
+
+/// One item of a decoded line, in line order (see [`decode_line`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum LineItem<'a> {
+    /// A protocol record.
+    Record {
+        /// The record's fields, borrowed from the line (or from its
+        /// decoded copy when the line needed the fallback).
+        record: RawRecord<'a>,
+        /// Whether the record was recovered from a dirty line.
+        resynced: bool,
+    },
+    /// A span no parser accepted.
+    Malformed {
+        /// Why it was rejected.
+        reason: &'a str,
+        /// Its length, for spans the resync scan skipped; `None` for a
+        /// whole object that is not a valid record.
+        bytes: Option<usize>,
+    },
+}
+
+/// Decodes one JSONL line into its records, handing each to `emit` in
+/// line order.
+///
+/// A clean line takes the borrowed zero-allocation parse and yields one
+/// record. A line it cannot represent (escapes in protocol strings)
+/// falls back to the allocating [`Record::parse_slow`]. A line neither
+/// accepts is resynchronised: every embedded valid record is recovered
+/// and every corrupted span becomes a [`LineItem::Malformed`] — one bad
+/// byte never costs more than its own span.
+// hot-path
+pub fn decode_line(line: &str, mut emit: impl FnMut(LineItem<'_>)) {
+    match parse_record_borrowed(line) {
+        RawParse::Record(record) => emit(LineItem::Record { record, resynced: false }),
+        // The borrowed parse only rejects what the slow path rejects for
+        // the same reason (pinned by the equivalence suite), so resync
+        // directly — re-parsing would fail again.
+        // lint:allow(hot-propagate) -- resync recovers from corrupt input; the fault path may allocate
+        RawParse::Reject(_) => resync(line, &mut emit),
+        // lint:allow(hot-propagate) -- the slow parse is the announced fallback; its diagnostics may allocate
+        RawParse::Fallback => match Record::parse_slow(line) {
+            Ok(record) => emit(LineItem::Record { record: record.as_raw(), resynced: false }),
+            Err(_) => resync(line, &mut emit),
+        },
+    }
+}
+
+/// Recovers what it can from a line no parser accepted whole.
+fn resync(line: &str, emit: &mut impl FnMut(LineItem<'_>)) {
+    for segment in resync_line(line) {
+        match segment {
+            Segment::Object(obj) => match Record::from_object(&obj) {
+                Ok(record) => emit(LineItem::Record { record: record.as_raw(), resynced: true }),
+                Err(e) => emit(LineItem::Malformed { reason: e.reason(), bytes: None }),
+            },
+            Segment::Skipped { bytes, reason } => {
+                emit(LineItem::Malformed { reason: &reason, bytes: Some(bytes) });
+            }
+        }
     }
 }
 

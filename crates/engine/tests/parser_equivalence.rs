@@ -165,7 +165,7 @@ fn seeded_corrupted_corpus_is_equivalent() {
             let pos = rng.next_below(bytes.len() as u64) as usize;
             if let Some(b) = bytes.get_mut(pos) {
                 // Printable ASCII keeps the line valid UTF-8 so it can
-                // reach the parsers as &str (the Decoder owns the
+                // reach the parsers as &str (the line framer owns the
                 // invalid-UTF-8 layer).
                 *b = (0x20 + rng.next_below(95)) as u8;
             }

@@ -21,9 +21,10 @@
 //! Tenant names travel once: a define frame binds a dense wire id to a
 //! name before its first use, and samples/closes carry only the id.
 //!
-//! The [`BinDecoder`] mirrors [`crate::jsonl::Decoder`]: feed arbitrary
-//! chunks with [`BinDecoder::push_bytes`], drain frames, call
-//! [`BinDecoder::finish`] at end of stream. It never panics on any input
+//! The [`BinDecoder`] is the binary counterpart of
+//! [`crate::jsonl::LineFramer`]: feed arbitrary chunks with
+//! [`BinDecoder::push_bytes`], drain frames, call [`BinDecoder::finish`]
+//! at end of stream. It never panics on any input
 //! and always resynchronises: on a bad marker, checksum mismatch,
 //! oversized name or invalid UTF-8 it scans forward to the next
 //! [`MARKER`] byte and reports the contiguous skipped span as one
@@ -268,7 +269,8 @@ enum Step {
 }
 
 /// Incremental byte-stream binary decoder with resynchronisation and
-/// bounded buffering — the binary twin of [`crate::jsonl::Decoder`].
+/// bounded buffering — the binary counterpart of
+/// [`crate::jsonl::LineFramer`].
 ///
 /// Buffering is bounded by construction: every complete frame is at most
 /// `FRAME_LEN + MAX_NAME_LEN` bytes, so the decoder holds less than one

@@ -14,13 +14,19 @@
 //!
 //! Two surfaces share that grammar:
 //!
-//! * the [`JsonObject`] tree — general, allocating, used by reports and
-//!   the [`Decoder`]'s resynchronisation path;
+//! * the [`JsonObject`] tree — general, allocating, used by reports,
+//!   by the escape fallback and by [`resync_line`] recovery;
 //! * the ingest fast path — [`parse_record_borrowed`] decodes a
 //!   protocol record as borrowed spans with zero heap allocation, and
 //!   [`LineBuf`] renders event lines into a reusable buffer through the
 //!   shared [`write_f64`]/[`write_u64`] formatters, byte-identical to
 //!   [`JsonObject::to_line`].
+//!
+//! Beneath both, one framer turns a byte stream into lines:
+//! [`LineFramer`] splits on newlines, skips invalid UTF-8 and lines
+//! over [`DEFAULT_MAX_LINE`] bytes, and gives the same spans however
+//! the stream was chunked. Every JSONL byte-stream consumer frames
+//! through it.
 
 use std::fmt::Write as _;
 
@@ -210,8 +216,8 @@ pub enum Segment {
 /// (`{"a":1,"b{"tenant":...}`) loses only the corrupted prefix.
 ///
 /// Whitespace-only residue is not reported. The scan is linear in the
-/// number of `{` candidates; callers bounding line length (see
-/// [`Decoder`]) bound its cost.
+/// number of `{` candidates; the [`LineFramer`]'s line cap bounds its
+/// cost.
 pub fn resync_line(line: &str) -> Vec<Segment> {
     let mut segments = Vec::new();
     let bytes = line.as_bytes();
@@ -260,197 +266,140 @@ pub fn resync_line(line: &str) -> Vec<Segment> {
     segments
 }
 
-/// One decoded frame from a [`Decoder`]: a record or a skipped span.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Frame {
-    /// A valid flat object.
-    Object(JsonObject),
-    /// Bytes the decoder skipped to resynchronise (corruption, oversized
-    /// lines, invalid UTF-8).
+/// Per-line byte cap of [`LineFramer`]: a physical line longer than
+/// this is skipped whole, so a stream that stops sending newlines
+/// cannot grow the framer's buffer without bound.
+pub const DEFAULT_MAX_LINE: usize = 64 * 1024;
+
+/// Skip reason for a line over [`DEFAULT_MAX_LINE`] bytes.
+const OVERSIZED_LINE: &str = "line exceeds the 65536-byte cap";
+
+/// Skip reason for an invalid UTF-8 sequence.
+const INVALID_UTF8: &str = "invalid UTF-8";
+
+/// One span of a JSONL byte stream, as [`LineFramer`] hands it out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Span<'a> {
+    /// A non-blank, valid UTF-8 stretch of one physical line, without
+    /// its newline: the whole line, or the part of it on one side of an
+    /// invalid UTF-8 sequence.
+    Line(&'a str),
+    /// Bytes the framer skipped: one invalid UTF-8 sequence, or a whole
+    /// line over [`DEFAULT_MAX_LINE`] bytes.
     Skipped {
         /// Number of bytes the span covers.
         bytes: usize,
         /// Why the span was skipped.
-        reason: String,
+        reason: &'static str,
     },
 }
 
-/// Incremental byte-stream JSONL decoder with resynchronisation and
-/// bounded buffering.
+/// Splits a JSONL byte stream into lines — the one framer every JSONL
+/// consumer uses.
 ///
-/// Feed arbitrary byte chunks with [`Decoder::push_bytes`] and drain
-/// complete frames with [`Decoder::drain`]; call [`Decoder::finish`] at
-/// end of stream for the trailing unterminated line. The decoder never
-/// panics on any input and always resynchronises to the next valid
-/// record:
+/// Feed the stream in chunks of any size with [`LineFramer::push`] and
+/// end it with [`LineFramer::finish`], which frames a trailing
+/// unterminated line. Each call hands its spans to a callback, in
+/// stream order. A line that ends inside the chunk is handed out as a
+/// `&str` borrowed from the chunk; only a line that spans two chunks is
+/// copied, into a carry buffer that is reused. The framer never panics
+/// on any input, and its spans do not depend on how the stream was cut
+/// into chunks:
 ///
-/// * lines longer than `max_line` bytes are discarded wholesale (one
-///   `Skipped` frame), so a stream that stops sending newlines cannot
-///   grow the buffer without bound;
-/// * invalid UTF-8 splits the line — the valid prefix is scanned for
-///   records, the offending bytes are skipped, and scanning resumes
-///   after them;
-/// * within a (UTF-8-valid) line, [`resync_line`] recovers every
-///   embedded record around corrupted spans.
-#[derive(Debug)]
-pub struct Decoder {
-    buf: Vec<u8>,
-    max_line: usize,
-    /// In discard mode (oversized line): bytes thrown away so far.
-    discarding: Option<u64>,
-    frames: Vec<Frame>,
+/// * a line longer than [`DEFAULT_MAX_LINE`] bytes is one
+///   [`Span::Skipped`] covering its full length, however it arrived,
+///   and the carry buffer never holds more than the cap;
+/// * invalid UTF-8 splits a line: each offending sequence is one
+///   [`Span::Skipped`], and the valid text on either side of it is
+///   handed out as [`Span::Line`]s;
+/// * whitespace-only text is counted but not handed out.
+#[derive(Debug, Default)]
+pub struct LineFramer {
+    /// The current unterminated line, while it is within the cap.
+    carry: Vec<u8>,
+    /// Full length of the current unterminated line so far (past the
+    /// cap, `carry` is empty and only this keeps counting).
+    partial: usize,
     lines: u64,
-    /// Objects recovered by resynchronisation from dirty lines (lines
-    /// that did not parse cleanly as exactly one object).
-    resynced: u64,
 }
 
-/// Default per-line byte cap for [`Decoder::new`].
-pub const DEFAULT_MAX_LINE: usize = 64 * 1024;
-
-impl Default for Decoder {
-    fn default() -> Self {
-        Decoder::new()
-    }
-}
-
-impl Decoder {
-    /// A decoder with the [`DEFAULT_MAX_LINE`] line cap.
+impl LineFramer {
+    /// A framer at the start of a stream.
     pub fn new() -> Self {
-        Decoder::with_max_line(DEFAULT_MAX_LINE)
+        LineFramer::default()
     }
 
-    /// A decoder with a custom per-line byte cap (minimum 16).
-    pub fn with_max_line(max_line: usize) -> Self {
-        Decoder {
-            buf: Vec::new(),
-            max_line: max_line.max(16),
-            discarding: None,
-            frames: Vec::new(),
-            lines: 0,
-            resynced: 0,
-        }
-    }
-
-    /// Number of physical lines (newline-terminated or final partial)
-    /// consumed so far.
+    /// Number of physical lines (newline-terminated, plus a final
+    /// unterminated one once [`LineFramer::finish`] ran) framed so far.
     pub fn lines(&self) -> u64 {
         self.lines
     }
 
-    /// Objects recovered by resynchronisation from dirty lines so far
-    /// (a clean one-object line does not count).
-    pub fn resynced(&self) -> u64 {
-        self.resynced
-    }
-
-    /// Feeds one chunk of the stream into the decoder.
-    pub fn push_bytes(&mut self, chunk: &[u8]) {
-        for &b in chunk {
-            if let Some(dropped) = self.discarding.as_mut() {
-                if b == b'\n' {
-                    let total = *dropped;
-                    self.discarding = None;
-                    self.lines += 1;
-                    self.frames.push(Frame::Skipped {
-                        bytes: total as usize,
-                        reason: format!(
-                            "line exceeds the {}-byte cap",
-                            self.max_line
-                        ),
-                    });
-                } else {
-                    *dropped += 1;
-                }
-                continue;
-            }
-            if b == b'\n' {
-                self.lines += 1;
-                let line = std::mem::take(&mut self.buf);
-                self.decode_line(&line);
-            } else {
-                self.buf.push(b);
-                if self.buf.len() > self.max_line {
-                    self.discarding = Some(self.buf.len() as u64);
-                    self.buf.clear();
-                }
-            }
+    /// Frames one chunk of the stream, handing every span of the lines
+    /// it completes to `emit`.
+    pub fn push(&mut self, chunk: &[u8], mut emit: impl FnMut(Span<'_>)) {
+        let mut rest = chunk;
+        while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
+            self.end_line(rest.get(..nl).unwrap_or(rest), &mut emit);
+            rest = rest.get(nl + 1..).unwrap_or(&[]);
+        }
+        self.partial += rest.len();
+        if self.partial > DEFAULT_MAX_LINE {
+            self.carry.clear();
+        } else {
+            self.carry.extend_from_slice(rest);
         }
     }
 
-    /// Takes every frame decoded so far.
-    pub fn drain(&mut self) -> Vec<Frame> {
-        std::mem::take(&mut self.frames)
-    }
-
-    /// Flushes the trailing unterminated line (end of stream) and takes
-    /// the remaining frames.
-    pub fn finish(&mut self) -> Vec<Frame> {
-        if let Some(dropped) = self.discarding.take() {
-            self.lines += 1;
-            self.frames.push(Frame::Skipped {
-                bytes: dropped as usize,
-                reason: format!("line exceeds the {}-byte cap", self.max_line),
-            });
-        } else if !self.buf.is_empty() {
-            self.lines += 1;
-            let line = std::mem::take(&mut self.buf);
-            self.decode_line(&line);
+    /// Ends the stream: frames the trailing unterminated line, if any.
+    pub fn finish(&mut self, mut emit: impl FnMut(Span<'_>)) {
+        if self.partial > 0 {
+            self.end_line(&[], &mut emit);
         }
-        self.drain()
     }
 
-    /// Decodes one complete physical line (no trailing newline) into
-    /// frames, splitting around invalid UTF-8.
-    fn decode_line(&mut self, line: &[u8]) {
-        let mut rest = line;
-        loop {
-            match std::str::from_utf8(rest) {
-                Ok(text) => {
-                    self.scan_text(text);
-                    return;
-                }
-                Err(e) => {
-                    let valid = e.valid_up_to();
-                    if let Some(prefix) =
-                        rest.get(..valid).and_then(|p| std::str::from_utf8(p).ok())
-                    {
-                        self.scan_text(prefix);
-                    }
-                    let bad = e.error_len().unwrap_or(rest.len() - valid).max(1);
-                    self.frames.push(Frame::Skipped {
-                        bytes: bad,
-                        reason: "invalid UTF-8".to_string(),
-                    });
-                    let next = (valid + bad).min(rest.len());
-                    rest = rest.get(next..).unwrap_or(&[]);
-                    if rest.is_empty() {
-                        return;
-                    }
-                }
+    /// Completes the current line with `head`, its last bytes before
+    /// the newline (or end of stream).
+    fn end_line(&mut self, head: &[u8], emit: &mut impl FnMut(Span<'_>)) {
+        self.lines += 1;
+        let len = self.partial + head.len();
+        if len > DEFAULT_MAX_LINE {
+            emit(Span::Skipped { bytes: len, reason: OVERSIZED_LINE });
+        } else if self.carry.is_empty() {
+            split_utf8(head, emit);
+        } else {
+            self.carry.extend_from_slice(head);
+            split_utf8(&self.carry, emit);
+        }
+        self.carry.clear();
+        self.partial = 0;
+    }
+}
+
+/// Hands out one complete physical line: its non-blank valid UTF-8
+/// stretches as [`Span::Line`], each invalid sequence as a skipped
+/// span.
+fn split_utf8(line: &[u8], emit: &mut impl FnMut(Span<'_>)) {
+    let mut rest = line;
+    loop {
+        let (text, bad) = match std::str::from_utf8(rest) {
+            Ok(text) => (text, 0),
+            Err(e) => {
+                let valid = e.valid_up_to();
+                let text = rest.get(..valid).and_then(|p| std::str::from_utf8(p).ok());
+                (text.unwrap_or(""), e.error_len().unwrap_or(rest.len() - valid).max(1))
             }
+        };
+        if !text.trim().is_empty() {
+            emit(Span::Line(text));
         }
-    }
-
-    fn scan_text(&mut self, text: &str) {
-        if text.trim().is_empty() {
+        if bad == 0 {
             return;
         }
-        // Fast path: the common case of one clean object per line.
-        if let Ok(obj) = JsonObject::parse(text) {
-            self.frames.push(Frame::Object(obj));
+        emit(Span::Skipped { bytes: bad, reason: INVALID_UTF8 });
+        rest = rest.get(text.len() + bad..).unwrap_or(&[]);
+        if rest.is_empty() {
             return;
-        }
-        for segment in resync_line(text) {
-            self.frames.push(match segment {
-                Segment::Object(obj) => {
-                    self.resynced += 1;
-                    Frame::Object(obj)
-                }
-                Segment::Skipped { bytes, reason } => {
-                    Frame::Skipped { bytes, reason }
-                }
-            });
         }
     }
 }
@@ -1244,40 +1193,58 @@ mod tests {
         assert!(resync_line("   ").is_empty());
     }
 
-    #[test]
-    fn decoder_reassembles_split_chunks() {
-        let mut dec = Decoder::new();
-        dec.push_bytes(b"{\"a\":1}\n{\"b\"");
-        let first = dec.drain();
-        assert_eq!(first.len(), 1);
-        dec.push_bytes(b":2}\n");
-        let second = dec.drain();
-        assert_eq!(second.len(), 1);
-        assert!(matches!(&second[0], Frame::Object(o) if o.get_f64("b") == Some(2.0)));
-        assert!(dec.finish().is_empty());
-        assert_eq!(dec.lines(), 2);
+    /// Frames `chunks` as one stream; spans come back owned, with the
+    /// physical-line count.
+    fn frame(chunks: &[&[u8]]) -> (Vec<Result<String, (usize, &'static str)>>, u64) {
+        let mut framer = LineFramer::new();
+        let mut spans = Vec::new();
+        let mut keep = |span: Span<'_>| {
+            spans.push(match span {
+                Span::Line(line) => Ok(line.to_string()),
+                Span::Skipped { bytes, reason } => Err((bytes, reason)),
+            });
+        };
+        for chunk in chunks {
+            framer.push(chunk, &mut keep);
+        }
+        framer.finish(&mut keep);
+        (spans, framer.lines())
     }
 
     #[test]
-    fn decoder_finish_flushes_unterminated_line() {
-        let mut dec = Decoder::new();
-        dec.push_bytes(b"{\"a\":1}");
-        assert!(dec.drain().is_empty());
-        let frames = dec.finish();
-        assert_eq!(frames.len(), 1);
-        assert!(matches!(&frames[0], Frame::Object(_)));
+    fn framer_reassembles_split_chunks() {
+        let (spans, lines) = frame(&[b"{\"a\":1}\n{\"b\"", b":2}\n"]);
+        assert_eq!(spans, [Ok(r#"{"a":1}"#.to_string()), Ok(r#"{"b":2}"#.to_string())]);
+        assert_eq!(lines, 2);
     }
 
     #[test]
-    fn decoder_caps_oversized_lines() {
-        let mut dec = Decoder::with_max_line(16);
-        let long = vec![b'x'; 100];
-        dec.push_bytes(&long);
-        dec.push_bytes(b"\n{\"a\":1}\n");
-        let frames = dec.drain();
-        assert_eq!(frames.len(), 2, "{frames:?}");
-        assert!(matches!(&frames[0], Frame::Skipped { reason, .. } if reason.contains("cap")));
-        assert!(matches!(&frames[1], Frame::Object(_)));
+    fn framer_finish_flushes_unterminated_line() {
+        let (spans, lines) = frame(&[b"{\"a\":1}\n \t\n{\"b\":2}"]);
+        // The blank line is counted, not handed out.
+        assert_eq!(spans, [Ok(r#"{"a":1}"#.to_string()), Ok(r#"{"b":2}"#.to_string())]);
+        assert_eq!(lines, 3);
+    }
+
+    #[test]
+    fn framer_caps_the_full_line_however_it_arrives() {
+        let long = vec![b'x'; DEFAULT_MAX_LINE + 100];
+        let mut stream = long.clone();
+        stream.extend_from_slice(b"\n{\"a\":1}\n");
+        let want = [
+            Err((DEFAULT_MAX_LINE + 100, OVERSIZED_LINE)),
+            Ok(r#"{"a":1}"#.to_string()),
+        ];
+        // One slice, a split inside the long line, and a byte at a time.
+        assert_eq!(frame(&[&stream]).0, want);
+        assert_eq!(frame(&[&stream[..10], &stream[10..]]).0, want);
+        let bytes: Vec<&[u8]> = stream.chunks(1).collect();
+        assert_eq!(frame(&bytes).0, want);
+        // A line of exactly the cap is kept.
+        let fit = vec![b'y'; DEFAULT_MAX_LINE];
+        let (spans, _) = frame(&[&fit[..1], &fit[1..], b"\n"]);
+        assert!(matches!(&spans[..], [Ok(line)] if line.len() == DEFAULT_MAX_LINE));
+        assert_eq!(OVERSIZED_LINE, format!("line exceeds the {DEFAULT_MAX_LINE}-byte cap"));
     }
 
     #[test]
@@ -1416,22 +1383,20 @@ mod tests {
     }
 
     #[test]
-    fn decoder_skips_invalid_utf8_and_resyncs() {
-        let mut dec = Decoder::new();
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(br#"{"a":1}"#);
-        bytes.push(0xFF);
-        bytes.extend_from_slice(br#"{"b":2}"#);
-        bytes.push(b'\n');
-        dec.push_bytes(&bytes);
-        let frames = dec.drain();
-        let objects = frames
-            .iter()
-            .filter(|f| matches!(f, Frame::Object(_)))
-            .count();
-        assert_eq!(objects, 2, "{frames:?}");
-        assert!(frames
-            .iter()
-            .any(|f| matches!(f, Frame::Skipped { reason, .. } if reason.contains("UTF-8"))));
+    fn framer_skips_invalid_utf8_and_keeps_both_sides() {
+        let mut stream = br#"{"a":1}"#.to_vec();
+        stream.push(0xFF);
+        stream.extend_from_slice(br#"{"b":2}"#);
+        stream.push(b'\n');
+        let (spans, lines) = frame(&[&stream]);
+        assert_eq!(
+            spans,
+            [
+                Ok(r#"{"a":1}"#.to_string()),
+                Err((1, INVALID_UTF8)),
+                Ok(r#"{"b":2}"#.to_string()),
+            ]
+        );
+        assert_eq!(lines, 1);
     }
 }

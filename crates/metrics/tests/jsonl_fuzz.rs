@@ -1,5 +1,6 @@
-//! Seeded fuzz-style property tests for the resynchronising JSONL
-//! decoder (`metrics::jsonl::Decoder`).
+//! Seeded fuzz-style property tests for JSONL stream decoding: the
+//! shared line framer (`metrics::jsonl::LineFramer`) followed by
+//! per-line resynchronisation (`metrics::jsonl::resync_line`).
 //!
 //! Std-only and fully deterministic: all "arbitrary" input derives from
 //! `memdos_stats::rng` seeds, so a failure reproduces from its seed
@@ -8,11 +9,12 @@
 //! * decoding arbitrary byte soup never panics, at any chunking;
 //! * corrupting arbitrary in-line bytes never costs an *intact* line —
 //!   the decoder always resynchronises to the next valid record;
-//! * the frame stream is independent of how the bytes were chunked;
-//! * the per-line byte cap bounds buffering without losing the records
-//!   that follow an oversized line.
+//! * the decoded stream is independent of how the bytes were chunked;
+//! * a line over the per-line byte cap is skipped whole, as one span of
+//!   its full length, without losing the record that follows it;
+//! * clean streams round-trip exactly.
 
-use memdos_metrics::jsonl::{Decoder, Frame, JsonObject};
+use memdos_metrics::jsonl::{resync_line, JsonObject, LineFramer, Segment, Span, DEFAULT_MAX_LINE};
 use memdos_stats::rng::{derive_seed, Rng};
 
 /// Builds a clean JSONL stream of `n` records and returns (bytes, the
@@ -31,21 +33,37 @@ fn clean_stream(rng: &mut Rng, n: u64) -> (Vec<u8>, Vec<f64>) {
     (bytes, values)
 }
 
-/// Feeds `bytes` to a decoder in seeded random chunks and returns every
-/// frame.
-fn decode_chunked(rng: &mut Rng, bytes: &[u8]) -> Vec<Frame> {
-    let mut dec = Decoder::new();
-    let mut frames = Vec::new();
+/// Frames `chunks` as one stream with the [`LineFramer`] and decodes
+/// each line with [`resync_line`] (the recovery the engine runs on a
+/// dirty line; a clean line is one object). Framer skips come back as
+/// [`Segment::Skipped`] too.
+fn decode<'a>(chunks: impl IntoIterator<Item = &'a [u8]>) -> Vec<Segment> {
+    let mut framer = LineFramer::new();
+    let mut segments = Vec::new();
+    let mut keep = |span: Span<'_>| match span {
+        Span::Line(line) => segments.extend(resync_line(line)),
+        Span::Skipped { bytes, reason } => {
+            segments.push(Segment::Skipped { bytes, reason: reason.to_string() });
+        }
+    };
+    for chunk in chunks {
+        framer.push(chunk, &mut keep);
+    }
+    framer.finish(&mut keep);
+    segments
+}
+
+/// Decodes `bytes` fed in seeded random chunks of 1–37 bytes.
+fn decode_chunked(rng: &mut Rng, bytes: &[u8]) -> Vec<Segment> {
+    let mut chunks = Vec::new();
     let mut rest = bytes;
     while !rest.is_empty() {
         let take = (1 + rng.next_below(37) as usize).min(rest.len());
         let (chunk, tail) = rest.split_at(take);
-        dec.push_bytes(chunk);
-        frames.extend(dec.drain());
+        chunks.push(chunk);
         rest = tail;
     }
-    frames.extend(dec.finish());
-    frames
+    decode(chunks)
 }
 
 #[test]
@@ -54,14 +72,14 @@ fn arbitrary_byte_soup_never_panics() {
         let mut rng = Rng::new(derive_seed(0xF022, case));
         let len = rng.next_below(2_048) as usize;
         let bytes: Vec<u8> = (0..len).map(|_| rng.next_below(256) as u8).collect();
-        let frames = decode_chunked(&mut rng, &bytes);
-        for frame in &frames {
-            match frame {
-                Frame::Object(obj) => {
+        let segments = decode_chunked(&mut rng, &bytes);
+        for segment in &segments {
+            match segment {
+                Segment::Object(obj) => {
                     // Whatever was recovered must re-serialize as an object.
                     assert!(obj.to_line().starts_with('{'), "case {case}");
                 }
-                Frame::Skipped { bytes, reason } => {
+                Segment::Skipped { bytes, reason } => {
                     assert!(*bytes > 0, "case {case}: empty skip span");
                     assert!(!reason.is_empty(), "case {case}: silent skip");
                 }
@@ -99,12 +117,12 @@ fn corruption_never_costs_an_intact_line() {
                 *b = junk;
             }
         }
-        let frames = decode_chunked(&mut rng, &bytes);
-        let decoded: Vec<f64> = frames
+        let segments = decode_chunked(&mut rng, &bytes);
+        let decoded: Vec<f64> = segments
             .iter()
             .filter_map(|f| match f {
-                Frame::Object(obj) => obj.get_f64("access"),
-                Frame::Skipped { .. } => None,
+                Segment::Object(obj) => obj.get_f64("access"),
+                Segment::Skipped { .. } => None,
             })
             .collect();
         // Every intact line's record must come back, in order: the
@@ -138,19 +156,11 @@ fn frames_are_independent_of_chunking() {
                 *b = rng.next_below(256) as u8;
             }
         }
-        let mut whole = Decoder::new();
-        whole.push_bytes(&bytes);
-        let mut reference = whole.drain();
-        reference.extend(whole.finish());
-        let mut one = Decoder::new();
-        for b in &bytes {
-            one.push_bytes(std::slice::from_ref(b));
-        }
-        let mut byte_at_a_time = one.drain();
-        byte_at_a_time.extend(one.finish());
-        assert_eq!(reference, byte_at_a_time, "case {case}: chunking changed the frames");
+        let reference = decode([&bytes[..]]);
+        let byte_at_a_time = decode(bytes.chunks(1));
+        assert_eq!(reference, byte_at_a_time, "case {case}: chunking changed the decoded stream");
         let random_chunks = decode_chunked(&mut rng, &bytes);
-        assert_eq!(reference, random_chunks, "case {case}: chunking changed the frames");
+        assert_eq!(reference, random_chunks, "case {case}: chunking changed the decoded stream");
     }
 }
 
@@ -158,10 +168,9 @@ fn frames_are_independent_of_chunking() {
 fn oversized_lines_are_bounded_and_do_not_eat_successors() {
     for case in 0..20u64 {
         let mut rng = Rng::new(derive_seed(0x512E, case));
-        let cap = 64;
         let mut bytes = Vec::new();
-        // A line far beyond the cap, without a single newline.
-        let oversized = cap * (2 + rng.next_below(8) as usize);
+        // A line past the cap, without a single newline.
+        let oversized = DEFAULT_MAX_LINE + 1 + rng.next_below(DEFAULT_MAX_LINE as u64) as usize;
         for _ in 0..oversized {
             let mut b = rng.next_below(256) as u8;
             if b == b'\n' {
@@ -172,21 +181,22 @@ fn oversized_lines_are_bounded_and_do_not_eat_successors() {
         bytes.push(b'\n');
         bytes.extend_from_slice(br#"{"tenant":"vm-9","access":42,"miss":7}"#);
         bytes.push(b'\n');
-        let mut dec = Decoder::with_max_line(cap);
-        dec.push_bytes(&bytes);
-        let frames = dec.finish();
+        let segments = decode_chunked(&mut rng, &bytes);
         assert!(
-            frames.iter().any(|f| matches!(
-                f,
-                Frame::Skipped { reason, .. } if reason.contains("byte cap")
-            )),
-            "case {case}: oversized line not reported"
+            matches!(
+                segments.first(),
+                Some(Segment::Skipped { bytes, reason })
+                    if *bytes == oversized && reason.contains("byte cap")
+            ),
+            "case {case}: oversized line not reported as one span of its length"
         );
-        let survivor = frames.iter().any(|f| match f {
-            Frame::Object(obj) => obj.get_f64("access") == Some(42.0),
-            Frame::Skipped { .. } => false,
-        });
-        assert!(survivor, "case {case}: record after the oversized line was lost");
+        assert!(
+            matches!(
+                &segments[1..],
+                [Segment::Object(obj)] if obj.get_f64("access") == Some(42.0)
+            ),
+            "case {case}: record after the oversized line was lost"
+        );
     }
 }
 
@@ -196,14 +206,14 @@ fn clean_streams_roundtrip_exactly() {
         let mut rng = Rng::new(derive_seed(0xC1EA, case));
         let n = 1 + rng.next_below(40);
         let (bytes, values) = clean_stream(&mut rng, n);
-        let frames = decode_chunked(&mut rng, &bytes);
-        assert_eq!(frames.len() as u64, n, "case {case}");
-        for (frame, want) in frames.iter().zip(&values) {
-            match frame {
-                Frame::Object(obj) => {
+        let segments = decode_chunked(&mut rng, &bytes);
+        assert_eq!(segments.len() as u64, n, "case {case}");
+        for (segment, want) in segments.iter().zip(&values) {
+            match segment {
+                Segment::Object(obj) => {
                     assert_eq!(obj.get_f64("access"), Some(*want), "case {case}")
                 }
-                Frame::Skipped { reason, .. } => {
+                Segment::Skipped { reason, .. } => {
                     unreachable!("case {case}: clean line skipped: {reason}")
                 }
             }

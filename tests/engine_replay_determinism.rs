@@ -44,24 +44,26 @@ fn demo_replay_is_byte_identical_across_workers_and_reruns() {
 }
 
 #[test]
-fn demo_replay_is_byte_identical_with_fast_path_on_and_off() {
-    // The zero-allocation ingest fast path must be unobservable: the
-    // demo replay through the borrowed parser and through the allocating
-    // JsonObject parser produces the same bytes at every worker count.
+fn demo_replay_is_byte_identical_line_by_line_and_through_reader() {
+    // Handing the engine one line at a time and handing it the same
+    // lines as one JSONL byte stream must be unobservable: the reader's
+    // framing yields exactly the lines `ingest_line` gets, at every
+    // worker count.
     let lines = demo_lines();
     let reference = replay(lines, 1);
+    let mut bytes = Vec::new();
+    for line in lines {
+        bytes.extend_from_slice(line.as_bytes());
+        bytes.push(b'\n');
+    }
     for workers in [1usize, 2, 4] {
-        let mut config = demo_engine_config(workers);
-        config.fast_parse = false;
-        let mut engine = Engine::new(config).expect("demo config is valid");
-        for line in lines {
-            engine.ingest_line(line);
-        }
-        engine.flush();
+        let mut engine = Engine::new(demo_engine_config(workers)).expect("demo config is valid");
+        let read = engine.ingest_reader(&bytes[..]).expect("in-memory reader");
+        assert_eq!(read, lines.len() as u64);
         assert_eq!(
             engine.log_lines(),
             &reference[..],
-            "slow-path replay diverged at workers={workers}"
+            "reader replay diverged at workers={workers}"
         );
     }
 }
