@@ -12,10 +12,17 @@
 //!
 //! ## Session storage at fleet scale
 //!
-//! Sessions live in an owner-checked slab (`engine::slab`) addressed by
-//! dense `u32` slots; the tenant table maps the interned [`TenantId`] to
-//! the slab slot, so the hot routing path performs one `BTreeMap` name
-//! lookup and two vector index hops — no per-session boxing, no hashing.
+//! Sessions live boxed in an owner-checked slab (`engine::slab`)
+//! addressed by dense `u32` slots, so a flush lends, steps and puts back
+//! 8-byte pointers rather than moving each ~800-byte session struct
+//! through the slab, the flush's working set and the pool's shards. The
+//! tenant table maps the interned [`TenantId`] to the slab slot and owns
+//! the tenant's name; an open-addressed index (`slab::NameIndex`: one
+//! fixed hash of the name bytes, a short linear probe over `u32` ids)
+//! resolves a name to its id. So the hot routing path costs one hash,
+//! one name compare and two vector index hops. Tenant names come from
+//! the host's PCM collector, not from tenants, so a tenant cannot choose
+//! names that collide in the index (see DESIGN.md).
 //! Closed incarnations are reclaimed at the flush that drains their
 //! final events (their slot returns to a LIFO free list; final counters
 //! are retained for [`Engine::snapshots`]), so steady-state churn reuses
@@ -85,10 +92,17 @@
 //! spreads across tenants): flushing is the only thing that drains
 //! queues, so a larger batch holds samples longer and can trip the drop
 //! policy earlier — backpressure is timing, and timing is what `batch`
-//! configures. `tests/engine_replay_determinism.rs` (tier-1) pins the
-//! worker-count guarantee on the demo stream and
-//! `tests/engine_fleet_determinism.rs` pins it across evictions at fleet
-//! scale.
+//! configures. The same holds for samples that reach a session after it
+//! turned terminal (quarantined, or closed worker-side): those sharing a
+//! flush with the sample that made it terminal drop in the worker,
+//! unlogged, and later ones drop at ingest as `dropped` events, so where
+//! flushes fall decides which drops are logged and with what `total`.
+//! `tests/engine_replay_determinism.rs` (tier-1) pins the worker-count
+//! guarantee on the demo stream and `tests/engine_fleet_determinism.rs`
+//! pins it across evictions at fleet scale;
+//! `crates/engine/tests/interleave_prop.rs` checks its per-tenant form
+//! (a tenant's events are the same alone and mixed into other tenants'
+//! traffic, which moves every flush boundary) on seeded streams.
 
 pub use crate::config::Config;
 use crate::mitigation::{CaseStep, Coordinator, MitigationAction};
@@ -96,14 +110,14 @@ use crate::protocol::{self, LineItem};
 use crate::session::{
     CloseReason, Offered, Session, SessionEvent, SessionSnapshot, SessionState,
 };
-use crate::slab::Slab;
+use crate::slab::{NameIndex, Slab};
 use memdos_core::detector::Observation;
 use memdos_core::CoreError;
 use memdos_metrics::binary::{self, BinDecoder, BinFrame};
 use memdos_metrics::jsonl::{JsonObject, LineBuf, LineFramer, RawKind, RawRecord, Span};
 use memdos_runner::ShardPool;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::io::BufRead;
 
 /// Sub-index that sorts an ingest-side event (malformed line, dropped
@@ -220,7 +234,7 @@ impl TenantId {
 /// tenant name, as bound by [`BinFrame::Define`] frames. `cached`
 /// memoises the engine's interned [`TenantId`] — ids are stable for the
 /// engine's lifetime, so once warm a sample routes with two vector hops
-/// and no `BTreeMap` name lookup at all.
+/// and no name lookup at all.
 #[derive(Debug, Default)]
 struct WireTable {
     slots: Vec<Option<WireEntry>>,
@@ -248,6 +262,9 @@ struct RetiredSession {
 /// break the worker-count determinism guarantee).
 #[derive(Debug)]
 struct TenantSlot {
+    /// The tenant's name: the one copy the engine keeps, which the name
+    /// index resolves ids against.
+    name: String,
     /// Slab slot of the current incarnation; `None` once it was closed,
     /// drained and reclaimed.
     session: Option<u32>,
@@ -265,15 +282,22 @@ struct TenantSlot {
     terminal_queued: bool,
 }
 
+/// Resolves an interned id to its tenant's name: the `name_of` the name
+/// index probes with.
+fn slot_name(slots: &[TenantSlot], id: u32) -> &str {
+    slots.get(id as usize).map_or("", |slot| slot.name.as_str())
+}
+
 /// The multi-tenant streaming detection engine.
 pub struct Engine {
     config: Config,
     /// Owner-checked session storage; slots are recycled across tenant
     /// churn. See the module docs on fleet-scale storage.
-    slab: Slab<Session>,
-    /// Tenant-name intern table: name → dense [`TenantId`]. Consulted
-    /// once per record; every later step keys on the `Copy` id.
-    ids: BTreeMap<String, TenantId>,
+    slab: Slab<Box<Session>>,
+    /// Tenant-name intern index: name → dense [`TenantId`], resolving
+    /// ids against [`TenantSlot::name`]. Consulted once per record;
+    /// every later step keys on the `Copy` id.
+    ids: NameIndex,
     /// Routing state per interned tenant, indexed by [`TenantId`].
     slots: Vec<TenantSlot>,
     /// Slab slots that queued work since the last flush, in first-queue
@@ -300,12 +324,12 @@ pub struct Engine {
     /// inline). At width 1 it spawns no thread and steps inline. The
     /// log is byte-identical at any width, so the clamp is unobservable
     /// in output.
-    pool: ShardPool<Session, SessionEvent>,
+    pool: ShardPool<Box<Session>, SessionEvent>,
     /// Recycled flush-event buffer.
     events_buf: Vec<SessionEvent>,
     /// Recycled working set of sessions lent out of the slab for a
     /// flush, with their `(slab slot, owner)` keys alongside.
-    scratch: Vec<Session>,
+    scratch: Vec<Box<Session>>,
     scratch_meta: Vec<(u32, u32)>,
     /// Recycled log-line writer.
     render: LineBuf,
@@ -358,7 +382,7 @@ impl Engine {
         Ok(Engine {
             config,
             slab: Slab::new(),
-            ids: BTreeMap::new(),
+            ids: NameIndex::new(),
             slots: Vec::new(),
             dirty: Vec::new(),
             lru: BinaryHeap::new(),
@@ -367,7 +391,7 @@ impl Engine {
             ingest_events: Vec::new(),
             pool: ShardPool::new(
                 config.workers.min(memdos_runner::cores()),
-                |s: &mut Session, out: &mut Vec<SessionEvent>| s.process_queued_into(out),
+                |s: &mut Box<Session>, out: &mut Vec<SessionEvent>| s.process_queued_into(out),
             ),
             events_buf: Vec::new(),
             scratch: Vec::new(),
@@ -418,44 +442,33 @@ impl Engine {
     /// accounting with `live: false`. This is the stable introspection
     /// surface (see DESIGN.md) — the fleet bench and the CLI summary
     /// consume it instead of session internals.
+    ///
+    /// The name order is imposed here, by sorting the tenant table on
+    /// each call: a cold path, kept off the routing index.
     pub fn snapshots(&self) -> impl Iterator<Item = SessionSnapshot<'_>> {
-        self.ids.iter().filter_map(move |(name, id)| {
-            let slot = self.slots.get(id.index())?;
-            if let Some(s) = slot.session.and_then(|idx| self.slab.get(idx, id.0)) {
-                let mut snap = s.snapshot();
-                snap.mitigation = self.mitigation.case_status(id.0);
-                return Some(snap);
-            }
-            let r = slot.retired?;
-            Some(SessionSnapshot {
-                tenant: name,
-                generation: r.generation,
-                state: SessionState::Closed,
-                live: false,
-                queued: 0,
-                resident_bytes: 0,
-                ingested: r.ingested,
-                dropped: r.dropped,
-                alarms: r.alarms,
-                recovery_ratio: None,
-                mitigation: None,
-            })
-        })
+        let mut order: Vec<(u32, &TenantSlot)> =
+            self.slots.iter().enumerate().map(|(i, slot)| (i as u32, slot)).collect();
+        order.sort_unstable_by(|a, b| a.1.name.cmp(&b.1.name));
+        order.into_iter().filter_map(move |(owner, slot)| self.slot_snapshot(owner, slot))
     }
 
     /// The snapshot for one tenant, if it was ever seen.
     pub fn snapshot(&self, tenant: &str) -> Option<SessionSnapshot<'_>> {
         let id = self.tenant_id(tenant)?;
-        let slot = self.slots.get(id.index())?;
-        if let Some(s) = slot.session.and_then(|idx| self.slab.get(idx, id.0)) {
+        self.slot_snapshot(id.0, self.slots.get(id.index())?)
+    }
+
+    /// One tenant's snapshot: its live session's, or the retained final
+    /// accounting of its last reclaimed incarnation.
+    fn slot_snapshot<'a>(&'a self, owner: u32, slot: &'a TenantSlot) -> Option<SessionSnapshot<'a>> {
+        if let Some(s) = slot.session.and_then(|idx| self.slab.get(idx, owner)) {
             let mut snap = s.snapshot();
-            snap.mitigation = self.mitigation.case_status(id.0);
+            snap.mitigation = self.mitigation.case_status(owner);
             return Some(snap);
         }
         let r = slot.retired?;
-        let (name, _) = self.ids.get_key_value(tenant)?;
         Some(SessionSnapshot {
-            tenant: name,
+            tenant: &slot.name,
             generation: r.generation,
             state: SessionState::Closed,
             live: false,
@@ -470,16 +483,18 @@ impl Engine {
     }
 
     /// Estimated resident heap bytes of the session fleet: every live
-    /// session's working set ([`Session::resident_bytes`]) plus the
-    /// engine's per-tenant tables. Deterministic capacity accounting —
-    /// the number the fleet bench reports and the ceiling is judged
-    /// against — not an allocator measurement.
+    /// session's working set ([`Session::resident_bytes`], which counts
+    /// its boxed struct) plus the engine's per-tenant tables, each
+    /// counted once. Deterministic capacity accounting — the number the
+    /// fleet bench reports and the ceiling is judged against — not an
+    /// allocator measurement.
     pub fn resident_bytes(&self) -> usize {
         let sessions: usize = self.slab.iter().map(|(_, s)| s.resident_bytes()).sum();
-        let names: usize = self.ids.keys().map(|k| k.capacity()).sum();
+        let names: usize = self.slots.iter().map(|slot| slot.name.capacity()).sum();
         sessions
             + names
-            + self.slab.capacity() * std::mem::size_of::<Option<(u32, bool, Session)>>()
+            + self.slab.table_bytes()
+            + self.ids.table_bytes()
             + self.slots.len() * std::mem::size_of::<TenantSlot>()
             + self.lru.len() * std::mem::size_of::<Reverse<(u64, u32)>>()
     }
@@ -556,29 +571,33 @@ impl Engine {
     pub fn ingest_reader<R: BufRead>(&mut self, mut reader: R) -> std::io::Result<u64> {
         // Sniff up to one preamble, accumulating across short reads.
         // Divergence from the magic at any byte settles on JSONL with
-        // the sniffed bytes replayed into the line decoder.
-        let mut sniffed: Vec<u8> = Vec::new();
+        // the sniffed bytes replayed into the line decoder. The sniff
+        // runs once per call (once per tick for a per-tick caller), so
+        // it stays on the stack.
+        let mut sniffed = [0u8; binary::MAGIC.len()];
+        let mut len = 0;
         let is_binary = loop {
             let chunk = reader.fill_buf()?;
             if chunk.is_empty() {
                 break false;
             }
-            let need = binary::MAGIC.len().saturating_sub(sniffed.len());
-            let take = need.min(chunk.len());
-            sniffed.extend_from_slice(chunk.get(..take).unwrap_or(chunk));
+            let take = (sniffed.len() - len).min(chunk.len());
+            if let (Some(dst), Some(src)) = (sniffed.get_mut(len..len + take), chunk.get(..take)) {
+                dst.copy_from_slice(src);
+            }
             reader.consume(take);
-            let prefix = binary::MAGIC.get(..sniffed.len()).unwrap_or(&[]);
-            if sniffed != prefix {
+            len += take;
+            if sniffed.get(..len) != binary::MAGIC.get(..len) {
                 break false;
             }
-            if sniffed.len() == binary::MAGIC.len() {
+            if len == binary::MAGIC.len() {
                 break true;
             }
         };
         if is_binary {
             self.ingest_reader_binary(reader)
         } else {
-            self.ingest_reader_jsonl(&sniffed, reader)
+            self.ingest_reader_jsonl(sniffed.get(..len).unwrap_or(&[]), reader)
         }
     }
 
@@ -838,7 +857,7 @@ impl Engine {
     /// Resolves `tenant` to its interned id without allocating.
     // hot-path
     fn tenant_id(&self, tenant: &str) -> Option<TenantId> {
-        self.ids.get(tenant).copied()
+        self.ids.find(tenant, |id| slot_name(&self.slots, id)).map(TenantId)
     }
 
     /// Looks up (or opens, or reopens after churn/eviction) the session
@@ -905,12 +924,14 @@ impl Engine {
         }
         match Session::open_generation(tenant, self.config.session, generation) {
             Ok(session) => {
+                let session = Box::new(session);
                 self.sessions_opened += 1;
                 let owner = match self.tenant_id(tenant) {
                     Some(id) => id.0,
                     None => {
                         let id = TenantId(self.slots.len() as u32);
                         self.slots.push(TenantSlot {
+                            name: tenant.to_string(),
                             session: None,
                             last_seen: seq,
                             closed_at_ingest: false,
@@ -918,7 +939,7 @@ impl Engine {
                             retired: None,
                             terminal_queued: false,
                         });
-                        self.ids.insert(tenant.to_string(), id);
+                        self.ids.insert(tenant, id.0, |id| slot_name(&self.slots, id));
                         id.0
                     }
                 };
@@ -1132,7 +1153,7 @@ impl Engine {
     /// only (failed profile) stays resident — later samples must still
     /// drop against its policy — but shrunk to a husk.
     // lint:allow(hot-propagate) -- the quarantine-notice capture allocates the tenant name once per quarantine transition, never per sample
-    fn put_back(&mut self, idx: u32, owner: u32, mut session: Session) {
+    fn put_back(&mut self, idx: u32, owner: u32, mut session: Box<Session>) {
         if let Some(seq) = session.take_quarantine_notice() {
             if self.mitigation.enabled() {
                 self.notices.push((owner, seq, session.tenant().to_string()));
@@ -1216,7 +1237,7 @@ impl Engine {
                 self.lru.push(Reverse((slot.last_seen, owner)));
                 continue;
             }
-            let state = self.slab.get(idx, owner).map(Session::state);
+            let state = self.slab.get(idx, owner).map(|s| s.state());
             match state {
                 Some(SessionState::Profiling) | Some(SessionState::Monitoring) => {
                     let seq = self.next_seq;
@@ -1839,6 +1860,45 @@ mod tests {
         assert!(live.resident_bytes > 0);
         assert!(engine.resident_bytes() >= live.resident_bytes);
         assert!(engine.snapshot("vm-unknown").is_none());
+    }
+
+    #[test]
+    fn snapshots_come_in_byte_order_of_names_whatever_the_open_order() {
+        let mut engine = Engine::new(fast_config(1, 4)).unwrap();
+        for tenant in ["vm-10", "vm-9", "B", "a", "vm-1", "Z"] {
+            engine.ingest_line(&format!(r#"{{"tenant":"{tenant}","access":1,"miss":2}}"#));
+        }
+        // A reclaimed tenant keeps its place in the order.
+        engine.ingest_line(r#"{"tenant":"vm-9","ctl":"close"}"#);
+        engine.finish();
+        let order: Vec<(&str, bool)> = engine.snapshots().map(|s| (s.tenant, s.live)).collect();
+        assert_eq!(
+            order,
+            [("B", true), ("Z", true), ("a", true), ("vm-1", true), ("vm-10", true), ("vm-9", false)]
+        );
+    }
+
+    #[test]
+    fn resident_bytes_counts_each_session_struct_once() {
+        let mut engine = Engine::new(fast_config(1, 1_000)).unwrap();
+        let tenants = 64;
+        for i in 0..tenants {
+            engine.ingest_line(&format!(r#"{{"tenant":"vm-{i}","access":1,"miss":2}}"#));
+        }
+        engine.flush();
+        // A slab slot holds the session's box pointer, not the struct.
+        assert_eq!(engine.slab.table_bytes(), tenants * 2 * std::mem::size_of::<usize>());
+        let sessions: usize = engine.snapshots().map(|s| s.resident_bytes).sum();
+        assert!(sessions >= tenants * std::mem::size_of::<Session>());
+        // Above the sessions' own bytes (each counting its struct once)
+        // the engine adds a slot, a tenant-table row, a name, a recency
+        // entry and index buckets per tenant: far less than a second
+        // copy of the struct.
+        let tables = engine.resident_bytes() - sessions;
+        assert!(
+            tables < tenants * std::mem::size_of::<Session>() / 4,
+            "{tables} table bytes for {tenants} tenants"
+        );
     }
 
     #[test]

@@ -339,7 +339,7 @@ impl LineFramer {
     /// it completes to `emit`.
     pub fn push(&mut self, chunk: &[u8], mut emit: impl FnMut(Span<'_>)) {
         let mut rest = chunk;
-        while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
+        while let Some(nl) = find_newline(rest) {
             self.end_line(rest.get(..nl).unwrap_or(rest), &mut emit);
             rest = rest.get(nl + 1..).unwrap_or(&[]);
         }
@@ -374,6 +374,30 @@ impl LineFramer {
         self.carry.clear();
         self.partial = 0;
     }
+}
+
+/// Index of the first `\n` in `bytes`, eight bytes per step. XOR-ing a
+/// word with `\n` in every byte zeroes exactly the newline bytes, and the
+/// zero-byte test `(x - 0x01..) & !x & 0x80..` flags every zero byte.
+/// It can also flag a byte above a zero byte (the subtraction's borrow
+/// runs upward), never one below, so the lowest flagged byte —
+/// `trailing_zeros` of the little-endian mask — is the first newline.
+// hot-path
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    const NEWLINES: u64 = ONES * b'\n' as u64;
+    let mut words = bytes.chunks_exact(8);
+    let mut base = 0;
+    for word in words.by_ref() {
+        let x = u64::from_le_bytes(word.try_into().unwrap_or([0; 8])) ^ NEWLINES;
+        let found = x.wrapping_sub(ONES) & !x & HIGHS;
+        if found != 0 {
+            return Some(base + (found.trailing_zeros() / 8) as usize);
+        }
+        base += 8;
+    }
+    words.remainder().iter().position(|&b| b == b'\n').map(|i| base + i)
 }
 
 /// Hands out one complete physical line: its non-blank valid UTF-8
@@ -1209,6 +1233,43 @@ mod tests {
         }
         framer.finish(&mut keep);
         (spans, framer.lines())
+    }
+
+    #[test]
+    fn find_newline_matches_position_at_every_offset_and_alignment() {
+        // Bytes one off `\n` (0x0A) in value, or equal to it but for the
+        // high bit, are where a word-at-a-time search can misfire.
+        const FILL: [u8; 6] = [0x00, 0x09, 0x0B, 0x8A, b'a', 0xFF];
+        let patterns: Vec<Vec<u8>> = FILL
+            .iter()
+            .map(|&b| vec![b; 48])
+            .chain(
+                (0..FILL.len()).map(|k| (0..48).map(|i| FILL[(i * 5 + k) % FILL.len()]).collect()),
+            )
+            .collect();
+        for pattern in &patterns {
+            for start in 0..8 {
+                for len in 0..=pattern.len() - start {
+                    // No newline, then a newline at every position, with
+                    // a second one after it where there is room.
+                    for nl in std::iter::once(None).chain((0..len).map(Some)) {
+                        let mut buf = pattern.clone();
+                        if let Some(i) = nl {
+                            buf[start + i] = b'\n';
+                            if i + 3 < len {
+                                buf[start + i + 3] = b'\n';
+                            }
+                        }
+                        let hay = &buf[start..start + len];
+                        assert_eq!(
+                            find_newline(hay),
+                            hay.iter().position(|&b| b == b'\n'),
+                            "start {start} len {len} newline {nl:?} in {hay:02x?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
